@@ -90,15 +90,13 @@ void BM_Vectorize(benchmark::State& state) {
 }
 BENCHMARK(BM_Vectorize)->Arg(2)->Arg(8);
 
-// Shared setup for the executor dot benchmarks: the vectorized dot
-// kernel, linked for AVX-512 and bound to a Skylake-AVX512 node (on the
-// AVX2-only devbox this would measure the illegal-instruction error
-// path). `batch` toggles the fused superinstruction tier so the two
-// benchmarks bracket its speedup; before timing, the batch result is
-// checked bit-for-bit against the reference interpreter and any
-// divergence fails the run (and the bench smoke gate) via
-// SkipWithError — a fusion regression cannot slip through as a number.
-void executor_dot_bench(benchmark::State& state, bool batch) {
+// The vectorized dot kernel on the decoded machine, linked for AVX-512
+// and bound to a Skylake-AVX512 node (on the AVX2-only devbox this would
+// measure the illegal-instruction error path). Before timing, the result
+// is checked bit-for-bit against the reference interpreter and any
+// divergence fails the run (and the bench smoke gate) via SkipWithError
+// — a decoded-tier regression cannot slip through as a number.
+void BM_ExecutorDot(benchmark::State& state) {
   common::Vfs vfs;
   vfs.write("k.c", kKernel);
   minicc::TargetSpec target;
@@ -106,8 +104,7 @@ void executor_dot_bench(benchmark::State& state, bool batch) {
   const auto compiled = minicc::compile_to_target(vfs, "k.c", {}, target);
   std::vector<minicc::MachineModule> modules{compiled.machine};
   const vm::Program program = vm::Program::link(std::move(modules));
-  vm::ExecutorOptions options;
-  options.batch_superinstructions = batch;
+  const vm::ExecutorOptions options;
   const vm::Executor exec(program, vm::node("ault23"), options);
   const auto n = static_cast<std::size_t>(state.range(0));
   vm::Workload w;
@@ -142,19 +139,7 @@ void executor_dot_bench(benchmark::State& state, bool batch) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-
-void BM_ExecutorDot(benchmark::State& state) {
-  executor_dot_bench(state, /*batch=*/true);
-}
 BENCHMARK(BM_ExecutorDot)->Arg(1024)->Arg(16384);
-
-// The same workload with fusion disabled: the per-instruction decoded
-// tier, kept as the denominator of the batch-tier speedup tables in
-// docs/PERFORMANCE.md.
-void BM_ExecutorDotNoBatch(benchmark::State& state) {
-  executor_dot_bench(state, /*batch=*/false);
-}
-BENCHMARK(BM_ExecutorDotNoBatch)->Arg(16384);
 
 void BM_IrContainerBuildLulesh(benchmark::State& state) {
   const Application app = apps::make_minilulesh();

@@ -541,7 +541,7 @@ common::Json deployed_app_to_json(const DeployedApp& app) {
 }
 
 std::shared_ptr<const DeployedApp> deployed_app_from_json(
-    const common::Json& doc, bool predecode, std::string* error) {
+    const common::Json& doc, std::string* error) {
   auto app = std::make_shared<DeployedApp>();
   try {
     const Json* image_doc = doc.find("image");
@@ -585,10 +585,8 @@ std::shared_ptr<const DeployedApp> deployed_app_from_json(
     *error = std::string("deployment document malformed: ") + e.what();
     return nullptr;
   }
-  if (predecode) {
-    app->decoded = std::make_shared<const vm::DecodedProgram>(
-        vm::DecodedProgram::build(app->program));
-  }
+  app->decoded = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::build(app->program));
   app->ok = true;
   return app;
 }
@@ -602,7 +600,7 @@ std::shared_ptr<const DeployedApp> SpecArtifactTier::load(const SpecKey& key) {
   std::string error;
   std::shared_ptr<const DeployedApp> app;
   try {
-    app = deployed_app_from_json(Json::parse(*payload), predecode_, &error);
+    app = deployed_app_from_json(Json::parse(*payload), &error);
   } catch (const common::JsonError&) {
     app = nullptr;
   }

@@ -243,10 +243,10 @@ std::optional<minicc::MachineModule> machine_module_from_json(
 /// is rebuilt on load.
 common::Json deployed_app_to_json(const DeployedApp& app);
 /// Reconstruct a deployment: parse modules, re-link the program, verify
-/// the recorded image digest, optionally pre-decode. Returns null (with
-/// `error` set) when anything fails to parse, link, or verify.
+/// the recorded image digest, and pre-decode. Returns null (with `error`
+/// set) when anything fails to parse, link, or verify.
 std::shared_ptr<const DeployedApp> deployed_app_from_json(
-    const common::Json& doc, bool predecode, std::string* error);
+    const common::Json& doc, std::string* error);
 
 // ---- Cache tier adapters -------------------------------------------------
 
@@ -259,15 +259,13 @@ std::shared_ptr<const DeployedApp> deployed_app_from_json(
 /// backs.
 class SpecArtifactTier : public SpecDiskTier {
 public:
-  explicit SpecArtifactTier(ArtifactStore& store, bool predecode = true)
-      : store_(store), predecode_(predecode) {}
+  explicit SpecArtifactTier(ArtifactStore& store) : store_(store) {}
 
   std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
   void store(const SpecKey& key, const DeployedApp& app) override;
 
 private:
   ArtifactStore& store_;
-  bool predecode_;
 };
 
 /// CompileCache disk tier over an ArtifactStore (kind "tu", keyed by

@@ -16,13 +16,11 @@ BuildFarm::BuildFarm(ShardedRegistry& registry, BuildFarmOptions options)
     // Remote-registry level under both cache granularities: the elected
     // builder pulls whole deployments and individual TUs from ring
     // peers before compiling anything.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution,
-                                                        options_.predecode);
+    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution);
     tu_tier_ = std::make_unique<TuDistributionTier>(*options_.distribution);
     cache_.set_disk_tier(spec_tier_.get());
   } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store,
-                                                    options_.predecode);
+    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store);
     tu_tier_ = std::make_unique<TuArtifactTier>(*options_.artifact_store);
     cache_.set_disk_tier(spec_tier_.get());
   }
@@ -124,9 +122,8 @@ FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
       key,
       [&]() -> std::shared_ptr<const DeployedApp> {
         auto deployed = std::make_shared<DeployedApp>(build_source_deploy(
-            *image, app, plan,
-            options_.tu_cache ? state->tu_cache.get() : nullptr));
-        if (deployed->ok && options_.predecode) {
+            *image, app, plan, state->tu_cache.get()));
+        if (deployed->ok) {
           deployed->decoded = std::make_shared<const vm::DecodedProgram>(
               vm::DecodedProgram::build(deployed->program));
         }

@@ -47,11 +47,6 @@ struct BuildFarmOptions {
   std::size_t threads = 0;
   /// Shards of the whole-deployment cache.
   std::size_t cache_shards = 16;
-  /// Pre-decode each cached program once at build time for the VM.
-  bool predecode = true;
-  /// Route per-TU compiles through the shared compile cache. Disable to
-  /// measure the whole-deployment cache alone.
-  bool tu_cache = true;
   /// Persistent tier: when non-null, whole deployments and compiled TUs
   /// are persisted to (and revived from) this store, so a fresh farm
   /// pointed at a populated directory warm-starts with zero compiles.

@@ -31,11 +31,9 @@ void DeployScheduler::attach_artifact_store() {
   if (options_.distribution) {
     // Remote-registry level under the disk tier: the single-flight
     // leader pulls from ring peers before paying a lowering.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution,
-                                                        options_.predecode);
+    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution);
   } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store,
-                                                    options_.predecode);
+    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store);
   } else {
     return;
   }
@@ -101,7 +99,7 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
         // fails loudly instead of silently simulating the wrong node
         // (fleet callers run through FleetDeployResult::run / run_on).
         deployed->node_name.clear();
-        if (deployed->ok && options_.predecode) {
+        if (deployed->ok) {
           // Decode once here; every executor on every node of the fleet
           // reuses this DecodedProgram.
           deployed->decoded = std::make_shared<const vm::DecodedProgram>(

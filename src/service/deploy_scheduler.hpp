@@ -116,9 +116,6 @@ struct DeploySchedulerOptions {
   std::size_t threads = 0;
   /// Shards of the specialization cache.
   std::size_t cache_shards = 16;
-  /// Pre-decode each cached program for the VM once at deploy time, so
-  /// fleet executors share the DecodedProgram instead of re-decoding.
-  bool predecode = true;
   /// Persistent tier: when non-null, lowered specializations persist to
   /// (and revive from) this store across scheduler lifetimes. Borrowed —
   /// the store must outlive the scheduler.

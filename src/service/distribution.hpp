@@ -359,8 +359,8 @@ private:
 /// SpecDiskTier with a remote-registry level under the local store.
 class SpecDistributionTier : public SpecDiskTier {
 public:
-  SpecDistributionTier(DistributionPeer& peer, bool predecode = true)
-      : peer_(peer), local_(peer.store(), predecode) {}
+  explicit SpecDistributionTier(DistributionPeer& peer)
+      : peer_(peer), local_(peer.store()) {}
 
   std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
   void store(const SpecKey& key, const DeployedApp& app) override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace xaas::vm {
@@ -105,371 +104,6 @@ constexpr int kMaxDepth = 64;
 
 bool is_terminator(Opcode op) {
   return op == Opcode::Br || op == Opcode::CBr || op == Opcode::Ret;
-}
-
-// ---------------------------------------------------------------------
-// Batch-tier loop recognizer (decode time).
-//
-// Matches the counted-loop shapes irgen/vectorizer emit — a 2-inst
-// scalar header (icmp; cbr) or 4-inst vector header (const; iadd; icmp;
-// cbr), a straight-line float body, and the canonical 4-inst latch
-// (const step; iadd; mov ind; br header) — and lowers the body into a
-// FusedLoopPlan. Anything that deviates simply stays on the
-// per-instruction path; the recognizer must never mis-accept, because
-// the fused runtime replays only the loop's architectural effects
-// (induction register, accumulator, streams) and relies on the final
-// iteration being interpreted to restore every temporary bit-exactly.
-
-struct HeaderMatch {
-  minicc::ir::CmpPred pred = CmpPred::LT;
-  int ind_reg = -1;
-  int bound_reg = -1;
-  long long bound_offset = 0;
-  int body = -1;
-  int exit = -1;
-};
-
-bool match_fused_header(const DecodedFunction& df, int h, HeaderMatch& m) {
-  const DecodedBlock& header = df.blocks[static_cast<std::size_t>(h)];
-  if (!header.has_terminator) return false;
-  const DecodedInst* insts = df.insts.data() + header.first;
-  const DecodedInst* cmp = nullptr;
-  if (header.count == 2) {
-    cmp = &insts[0];
-    m.ind_reg = cmp->a;
-    m.bound_offset = 0;
-  } else if (header.count == 4) {
-    const DecodedInst& ci = insts[0];
-    const DecodedInst& add = insts[1];
-    if (ci.op != Opcode::ConstI || ci.width != 1 || ci.dst < 0) return false;
-    if (add.op != Opcode::IAdd || add.width != 1 || add.dst < 0) return false;
-    if (add.a == ci.dst) m.ind_reg = add.b;
-    else if (add.b == ci.dst) m.ind_reg = add.a;
-    else return false;
-    cmp = &insts[2];
-    if (cmp->a != add.dst) return false;
-    m.bound_offset = ci.iimm;
-    if (m.bound_offset < 0 || m.bound_offset > (1LL << 30)) return false;
-  } else {
-    return false;
-  }
-  if (cmp->op != Opcode::ICmp || cmp->width != 1 || cmp->dst < 0) return false;
-  if (cmp->pred != CmpPred::LT && cmp->pred != CmpPred::LE) return false;
-  m.pred = cmp->pred;
-  m.bound_reg = cmp->b;
-  const DecodedInst& cbr = insts[header.count - 1];
-  if (cbr.op != Opcode::CBr || cbr.a != cmp->dst) return false;
-  if (cbr.t1 == cbr.t2) return false;
-  m.body = cbr.t1;
-  m.exit = cbr.t2;
-  return m.ind_reg >= 0;
-}
-
-bool match_fused_latch(const DecodedFunction& df, int latch, int h,
-                       int ind_reg, int width) {
-  const DecodedBlock& lb = df.blocks[static_cast<std::size_t>(latch)];
-  if (!lb.has_terminator || lb.count != 4) return false;
-  const DecodedInst* insts = df.insts.data() + lb.first;
-  const DecodedInst& ci = insts[0];
-  const DecodedInst& add = insts[1];
-  const DecodedInst& mv = insts[2];
-  const DecodedInst& br = insts[3];
-  if (ci.op != Opcode::ConstI || ci.width != 1 || ci.dst < 0) return false;
-  if (ci.iimm != width) return false;  // step must equal the batch width
-  if (add.op != Opcode::IAdd || add.width != 1 || add.dst < 0) return false;
-  if (!((add.a == ind_reg && add.b == ci.dst) ||
-        (add.a == ci.dst && add.b == ind_reg))) {
-    return false;
-  }
-  if (mv.op != Opcode::Mov || mv.width != 1 || mv.dst != ind_reg ||
-      mv.a != add.dst) {
-    return false;
-  }
-  return br.op == Opcode::Br && br.t1 == h;
-}
-
-bool fused_op_for(Opcode op, BatchOpKind& kind, int& arity) {
-  switch (op) {
-    case Opcode::FAdd: kind = BatchOpKind::Add; arity = 2; return true;
-    case Opcode::FSub: kind = BatchOpKind::Sub; arity = 2; return true;
-    case Opcode::FMul: kind = BatchOpKind::Mul; arity = 2; return true;
-    case Opcode::FDiv: kind = BatchOpKind::Div; arity = 2; return true;
-    case Opcode::FNeg: kind = BatchOpKind::Neg; arity = 1; return true;
-    case Opcode::Fma: kind = BatchOpKind::FmaOp; arity = 3; return true;
-    case Opcode::ConstF: kind = BatchOpKind::ConstVal; arity = 0; return true;
-    default: return false;
-  }
-}
-
-bool fused_op_for_intrinsic(Intrinsic tag, BatchOpKind& kind, int& arity) {
-  switch (tag) {
-    case Intrinsic::Sqrt: kind = BatchOpKind::Sqrt; arity = 1; return true;
-    case Intrinsic::Rsqrt: kind = BatchOpKind::Rsqrt; arity = 1; return true;
-    case Intrinsic::Exp: kind = BatchOpKind::Exp; arity = 1; return true;
-    case Intrinsic::Fabs: kind = BatchOpKind::Fabs; arity = 1; return true;
-    case Intrinsic::Floor: kind = BatchOpKind::Floor; arity = 1; return true;
-    case Intrinsic::Fmin: kind = BatchOpKind::Fmin; arity = 2; return true;
-    case Intrinsic::Fmax: kind = BatchOpKind::Fmax; arity = 2; return true;
-    case Intrinsic::Pow2: kind = BatchOpKind::Pow2; arity = 1; return true;
-  }
-  return false;
-}
-
-bool match_fused_loop(const DecodedFunction& df, int h, FusedLoopPlan& plan) {
-  const int nblocks = static_cast<int>(df.blocks.size());
-  HeaderMatch hm;
-  if (!match_fused_header(df, h, hm)) return false;
-  if (hm.body < 0 || hm.body >= nblocks || hm.body == h) return false;
-
-  const DecodedBlock& body = df.blocks[static_cast<std::size_t>(hm.body)];
-  if (!body.has_terminator || body.count < 2) return false;
-  const DecodedInst* binsts = df.insts.data() + body.first;
-  const DecodedInst& bterm = binsts[body.count - 1];
-  if (bterm.op != Opcode::Br) return false;
-  const int latch = bterm.t1;
-  if (latch < 0 || latch >= nblocks || latch == h || latch == hm.body) {
-    return false;
-  }
-
-  // At most one Mov (the reduction carry), and it must close the body.
-  int mov_idx = -1;
-  for (int k = 0; k + 1 < body.count; ++k) {
-    if (binsts[k].op == Opcode::Mov) {
-      if (mov_idx >= 0) return false;
-      mov_idx = k;
-    }
-  }
-  if (mov_idx >= 0 && (mov_idx != body.count - 2 || mov_idx < 1)) return false;
-  const int acc_reg = mov_idx >= 0 ? binsts[mov_idx].dst : -1;
-  const int mov_src = mov_idx >= 0 ? binsts[mov_idx].a : -1;
-  if (mov_idx >= 0 && (acc_reg < 0 || mov_src < 0)) return false;
-
-  const int loop_blocks[3] = {h, hm.body, latch};
-  const auto write_count = [&](int reg) {
-    int n = 0;
-    for (int b : loop_blocks) {
-      const DecodedBlock& blk = df.blocks[static_cast<std::size_t>(b)];
-      for (int k = 0; k < blk.count; ++k) {
-        if (df.insts[static_cast<std::size_t>(blk.first + k)].dst == reg) ++n;
-      }
-    }
-    return n;
-  };
-
-  // The induction register may be written only by the latch Mov, the
-  // accumulator only by the body Mov; the bound must be loop-invariant.
-  if (write_count(hm.ind_reg) != 1) return false;
-  if (hm.bound_reg < 0 || write_count(hm.bound_reg) != 0) return false;
-  if (acc_reg >= 0 && write_count(acc_reg) != 1) return false;
-
-  // Body scan: classify every operand as stream load, earlier-step temp,
-  // loop-invariant register, or the accumulator (combine only).
-  std::vector<BatchRef> reg_ref(static_cast<std::size_t>(df.num_regs));
-  std::vector<std::uint8_t> has_ref(static_cast<std::size_t>(df.num_regs), 0);
-  int width = 0;
-  const auto match_width = [&](int w) {
-    if (width == 0) width = w;
-    return width == w;
-  };
-  // `allow_acc`: operand may be the accumulator (combine extraction).
-  // Returns false on carried/loop-written operands, which are the one
-  // shape the fused runtime cannot replay.
-  const auto classify = [&](int reg, bool allow_acc, BatchRef& out,
-                            bool& is_acc) -> bool {
-    is_acc = false;
-    if (reg < 0 || reg >= df.num_regs) return false;
-    if (has_ref[static_cast<std::size_t>(reg)]) {
-      out = reg_ref[static_cast<std::size_t>(reg)];
-      return true;
-    }
-    if (reg == acc_reg) {
-      is_acc = true;
-      return allow_acc;
-    }
-    if (write_count(reg) != 0) return false;
-    for (std::size_t j = 0; j < plan.inv_regs.size(); ++j) {
-      if (plan.inv_regs[j] == reg) {
-        out = {BatchRef::Kind::Inv, static_cast<int>(j)};
-        return true;
-      }
-    }
-    if (plan.inv_regs.size() >= kMaxBatchInvariants) return false;
-    out = {BatchRef::Kind::Inv, static_cast<int>(plan.inv_regs.size())};
-    plan.inv_regs.push_back(reg);
-    return true;
-  };
-
-  for (int k = 0; k + 1 < body.count; ++k) {
-    if (k == mov_idx) continue;  // handled with the combine below
-    const DecodedInst& in = binsts[k];
-    const bool is_combine = acc_reg >= 0 && k == mov_idx - 1;
-    if (static_cast<int>(plan.steps.size()) >= kMaxBatchSteps) return false;
-
-    if (in.op == Opcode::LoadF) {
-      if (is_combine || in.dst < 0) return false;
-      if (in.b != hm.ind_reg) return false;
-      if (in.a < 0 || write_count(in.a) != 0) return false;
-      if (!match_width(in.width)) return false;
-      if (static_cast<int>(plan.loads.size()) >= kMaxBatchLoads) return false;
-      const int stream = static_cast<int>(plan.loads.size());
-      plan.loads.push_back({in.a});
-      FusedLoopPlan::Step st;
-      st.kind = FusedLoopPlan::Step::Kind::Load;
-      st.stream = stream;
-      plan.steps.push_back(st);
-      reg_ref[static_cast<std::size_t>(in.dst)] = {BatchRef::Kind::Load,
-                                                   stream};
-      has_ref[static_cast<std::size_t>(in.dst)] = 1;
-      continue;
-    }
-    if (in.op == Opcode::StoreF) {
-      if (is_combine || acc_reg >= 0) return false;  // no stores in reductions
-      if (in.b != hm.ind_reg) return false;
-      if (in.a < 0 || write_count(in.a) != 0) return false;
-      if (!match_width(in.width)) return false;
-      if (static_cast<int>(plan.stores.size()) >= kMaxBatchStores) {
-        return false;
-      }
-      FusedLoopPlan::Step st;
-      st.kind = FusedLoopPlan::Step::Kind::Store;
-      st.stream = static_cast<int>(plan.stores.size());
-      bool is_acc = false;
-      if (!classify(in.c, /*allow_acc=*/false, st.a, is_acc)) return false;
-      plan.stores.push_back({in.a});
-      plan.steps.push_back(st);
-      continue;
-    }
-
-    BatchOpKind kind{};
-    int arity = 0;
-    if (in.op == Opcode::Call) {
-      if (in.call_kind != CallKind::IntrinsicCall) return false;
-      if (!fused_op_for_intrinsic(in.intrinsic, kind, arity)) return false;
-      if (in.args_end - in.args_begin != arity) return false;
-    } else if (!fused_op_for(in.op, kind, arity)) {
-      return false;
-    }
-    if (in.dst < 0 || !match_width(in.width)) return false;
-
-    int opnd[3] = {-1, -1, -1};
-    if (in.op == Opcode::Call) {
-      for (int j = 0; j < arity; ++j) {
-        opnd[j] = df.call_args[static_cast<std::size_t>(in.args_begin + j)];
-      }
-    } else {
-      if (arity > 0) opnd[0] = in.a;
-      if (arity > 1) opnd[1] = in.b;
-      if (arity > 2) opnd[2] = in.c;
-    }
-
-    FusedLoopPlan::Step st;
-    st.kind = FusedLoopPlan::Step::Kind::Compute;
-    st.op = kind;
-    st.fimm = in.fimm;
-    BatchRef refs[3];
-    bool acc_at[3] = {false, false, false};
-    int acc_uses = 0;
-    for (int j = 0; j < arity; ++j) {
-      if (!classify(opnd[j], is_combine, refs[j], acc_at[j])) return false;
-      if (acc_at[j]) ++acc_uses;
-    }
-
-    if (is_combine) {
-      // The combine is the instruction feeding the carry Mov; it must
-      // read the accumulator exactly once, in one of the forms the
-      // serial-chain kernels reproduce.
-      if (in.dst != mov_src || acc_uses != 1) return false;
-      switch (in.op) {
-        case Opcode::FAdd:
-          plan.combine = acc_at[0] ? CombineKind::AddAccFirst
-                                   : CombineKind::AddAccSecond;
-          plan.comb_a = acc_at[0] ? refs[1] : refs[0];
-          break;
-        case Opcode::FSub:
-          if (!acc_at[0]) return false;
-          plan.combine = CombineKind::SubAccFirst;
-          plan.comb_a = refs[1];
-          break;
-        case Opcode::Fma:
-          if (!acc_at[2]) return false;
-          plan.combine = CombineKind::FmaAcc;
-          plan.comb_a = refs[0];
-          plan.comb_b = refs[1];
-          break;
-        default:
-          return false;
-      }
-      plan.acc_reg = acc_reg;
-      continue;
-    }
-    if (acc_uses != 0) return false;
-    if (plan.num_temps >= kMaxBatchTemps) return false;
-    st.dst = plan.num_temps++;
-    st.a = refs[0];
-    st.b = refs[1];
-    st.c = refs[2];
-    plan.steps.push_back(st);
-    reg_ref[static_cast<std::size_t>(in.dst)] = {BatchRef::Kind::Temp, st.dst};
-    has_ref[static_cast<std::size_t>(in.dst)] = 1;
-  }
-
-  if (width != 1 && width != 2 && width != 4 && width != 8) return false;
-  if (acc_reg >= 0) {
-    if (plan.acc_reg < 0) return false;  // no combine extracted
-    if (binsts[mov_idx].width != width) return false;
-  } else if (plan.stores.empty()) {
-    return false;  // body with no architectural effect: not worth fusing
-  }
-  if (!match_fused_latch(df, latch, h, hm.ind_reg, width)) return false;
-
-  plan.width = width;
-  plan.step = width;
-  plan.pred = hm.pred;
-  plan.bound_offset = hm.bound_offset;
-  plan.ind_reg = hm.ind_reg;
-  plan.bound_reg = hm.bound_reg;
-  plan.latch_block = latch;
-
-  const DecodedBlock& latchb = df.blocks[static_cast<std::size_t>(latch)];
-  const DecodedBlock& headb = df.blocks[static_cast<std::size_t>(h)];
-  plan.iter_insts = headb.count + body.count + latchb.count;
-  for (const DecodedBlock* blk : {&headb, &body, &latchb}) {
-    if (blk->parallel) {
-      plan.iter_parallel_units += blk->static_cost_units;
-    } else {
-      plan.iter_serial_units += blk->static_cost_units;
-    }
-  }
-
-  // Outside a parallel region the dispatch loop counts a fork whenever a
-  // parallel-loop header is entered from outside that loop. Steady-state
-  // iterations take header->body->latch->header; if any parallel loop
-  // headed at one of those blocks excludes its predecessor, iterating
-  // natively would skip per-iteration forks, so fusion must stand down
-  // when not already inside a parallel region.
-  const auto preds_inside = [&](int block_id, int pred_block) {
-    const DecodedBlock& blk = df.blocks[static_cast<std::size_t>(block_id)];
-    for (int li = blk.loops_begin; li < blk.loops_end; ++li) {
-      const DecodedLoop& loop = df.header_loops[static_cast<std::size_t>(li)];
-      if (!loop.member[static_cast<std::size_t>(pred_block)]) return false;
-    }
-    return true;
-  };
-  plan.safe_outside_parallel = preds_inside(h, latch) &&
-                               preds_inside(hm.body, h) &&
-                               preds_inside(latch, hm.body);
-  return true;
-}
-
-void recognize_fused_loops(DecodedFunction& df) {
-  for (int h = 0; h < static_cast<int>(df.blocks.size()); ++h) {
-    FusedLoopPlan plan;
-    if (match_fused_loop(df, h, plan)) {
-      df.blocks[static_cast<std::size_t>(h)].fused =
-          static_cast<int>(df.fused_loops.size());
-      df.fused_loops.push_back(std::move(plan));
-    }
-  }
 }
 
 }  // namespace
@@ -588,14 +222,9 @@ DecodedProgram DecodedProgram::build(const Program& program) {
         db.static_cost_units += units;
         df.insts.push_back(di);
         ++db.count;
-        if (is_terminator(inst.op)) {
-          db.has_terminator = 1;
-          break;
-        }
+        if (is_terminator(inst.op)) break;
       }
     }
-
-    recognize_fused_loops(df);
   }
   return dp;
 }
@@ -637,9 +266,6 @@ struct FrameArena {
 };
 
 thread_local FrameArena g_arena;
-
-// Chunk arena for the batch tier, likewise per-thread and grow-only.
-thread_local BatchArena g_batch_arena;
 
 class DecodedMachine {
 public:
@@ -765,21 +391,6 @@ private:
               prev_block >= 0 &&
               loop.member[static_cast<std::size_t>(prev_block)] != 0;
           if (!from_inside) ++cost.fork_joins;
-        }
-      }
-
-      // Batch tier: when this block heads a fused loop and the runtime
-      // preconditions hold, run all but the final iteration as one
-      // superinstruction, then resume dispatch at the header as if the
-      // latch had just branched back — the final iteration and the exit
-      // evaluation of the header are interpreted normally, which
-      // restores every loop temporary bit-exactly.
-      if (options_.batch_superinstructions && block.fused >= 0) {
-        const FusedLoopPlan& plan =
-            fn.fused_loops[static_cast<std::size_t>(block.fused)];
-        if (try_fused(plan, regs, in_parallel, cost)) {
-          prev_block = plan.latch_block;
-          continue;
         }
       }
 
@@ -1179,125 +790,6 @@ private:
       }
 
       return next_block;
-  }
-
-  // Engage a fused loop at its header, before the header executes. Runs
-  // k = min(trips - 1, memory clamp, budget clamp) iterations natively
-  // and injects only the architectural effects interpretation would
-  // have produced: the induction register after k latches, the
-  // accumulator lanes, and the stream buffers. Returns false (engaging
-  // nothing) whenever any precondition fails — out-of-range handles,
-  // short buffers, exhausted budget — so the interpreter produces the
-  // identical trap at the identical instruction.
-  bool try_fused(const FusedLoopPlan& p, Slot* regs, bool in_parallel,
-                 Cost& cost) {
-    if (!in_parallel && !p.safe_outside_parallel) return false;
-    constexpr long long kIndCap = 1LL << 60;  // keeps all index math exact
-    const long long ind0 = regs[p.ind_reg].i[0];
-    const long long bound = regs[p.bound_reg].i[0];
-    if (ind0 < 0 || ind0 > kIndCap || bound > kIndCap) return false;
-    long long last = bound;  // largest ind + offset satisfying the test
-    if (p.pred == CmpPred::LT) {
-      if (bound == std::numeric_limits<long long>::min()) return false;
-      last = bound - 1;
-    }
-    if (last < p.bound_offset) return false;
-    const long long hi = last - p.bound_offset;
-    if (ind0 > hi) return false;
-    const long long trips = (hi - ind0) / p.step + 1;
-    if (trips < 2) return false;  // the final iteration stays interpreted
-    long long k = trips - 1;
-    // Cap one engagement so k * units can never overflow; the header
-    // re-engages for the remainder.
-    k = std::min(k, 1LL << 40);
-
-    const long long room = options_.max_instructions - cost.instructions;
-    if (room < p.iter_insts) return false;
-    k = std::min(k, room / p.iter_insts);
-
-    BatchBinding bind;
-    const int width = p.width;
-    const int nloads = static_cast<int>(p.loads.size());
-    const int nstores = static_cast<int>(p.stores.size());
-    int store_handles[kMaxBatchStores] = {-1, -1};
-    // Resolve a stream and clamp k to its in-bounds iterations; the
-    // iteration that would trap is left to the interpreter.
-    const auto resolve_stream = [&](int ptr_reg,
-                                    int& handle_out) -> std::vector<double>* {
-      const long long handle = regs[ptr_reg].i[0];
-      if (handle < 0 ||
-          handle >= static_cast<long long>(buffers_.size())) {
-        return nullptr;
-      }
-      Buffer& buf = buffers_[static_cast<std::size_t>(handle)];
-      if (!buf.f) return nullptr;
-      const auto size = static_cast<long long>(buf.f->size());
-      if (size < width || ind0 > size - width) return nullptr;
-      k = std::min(k, (size - width - ind0) / p.step + 1);
-      handle_out = static_cast<int>(handle);
-      return buf.f;
-    };
-    for (int s = 0; s < nstores; ++s) {
-      int handle = -1;
-      std::vector<double>* vec = resolve_stream(p.stores[s].ptr_reg, handle);
-      if (!vec) return false;
-      bind.store_base[s] = vec->data() + ind0;
-      store_handles[s] = handle;
-    }
-    for (int s = 0; s < nloads; ++s) {
-      int handle = -1;
-      std::vector<double>* vec = resolve_stream(p.loads[s].ptr_reg, handle);
-      if (!vec) return false;
-      bind.load_base[s] = vec->data() + ind0;
-      for (int t = 0; t < nstores; ++t) {
-        if (store_handles[t] == handle) {
-          bind.load_copy[s] = true;
-          break;
-        }
-      }
-    }
-    if (k < 1) return false;
-
-    // Snapshot invariant and accumulator lanes with the interpreter's
-    // broadcast rule (lanes == 1 reads lane 0 for every lane).
-    const auto lane_f = [&](int reg, int lane) -> double {
-      const Slot& s = regs[reg];
-      return s.lanes == 1 ? s.f[0] : s.f[lane];
-    };
-    for (std::size_t j = 0; j < p.inv_regs.size(); ++j) {
-      for (int l = 0; l < width; ++l) {
-        bind.inv_lanes[j][l] = lane_f(p.inv_regs[j], l);
-      }
-    }
-    if (p.acc_reg >= 0) {
-      for (int l = 0; l < width; ++l) bind.acc[l] = lane_f(p.acc_reg, l);
-    }
-
-    run_fused(p, bind, g_batch_arena, k);
-
-    // Retire exactly what per-instruction interpretation would have.
-    cost.instructions += k * p.iter_insts;
-    if (in_parallel) {
-      cost.parallel_units += k * (p.iter_serial_units + p.iter_parallel_units);
-    } else {
-      cost.serial_units += k * p.iter_serial_units;
-      cost.parallel_units += k * p.iter_parallel_units;
-    }
-
-    // Architectural state after k latches: the induction register holds
-    // the scalar IAdd result (f lane zeroed by the integer write), and
-    // the accumulator carries width lanes. Every other register the
-    // loop writes is restored by the interpreted final iteration.
-    Slot& ind = regs[p.ind_reg];
-    ind.i[0] = ind0 + k * p.step;
-    ind.f[0] = 0.0;
-    ind.lanes = 1;
-    if (p.acc_reg >= 0) {
-      Slot& acc = regs[p.acc_reg];
-      for (int l = 0; l < width; ++l) acc.f[l] = bind.acc[l];
-      acc.lanes = width;
-    }
-    return true;
   }
 
   Slot exec_call(const DecodedFunction& caller, const DecodedInst& inst,

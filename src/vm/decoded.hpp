@@ -30,18 +30,12 @@
 // switch, so the trap fires after exactly max_instructions + 1 retired
 // instructions — the same count, error text, and architectural state as
 // the per-instruction reference interpreter (`BudgetExceeded` below
-// carries the count so RunResult can report it). The batch tier clamps
-// its fused iteration count to the remaining budget up front, then lets
-// the interpreter run into the trap, which preserves the identity.
-//
-// Loops whose body is a straight-line float kernel over unit-stride
-// streams are additionally folded into superinstructions at decode time
-// (see batch.hpp); `DecodedBlock::fused` points at the plan and the
-// machine engages it per activation when the runtime preconditions hold.
+// carries the count so RunResult can report it).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -49,7 +43,6 @@
 #include <vector>
 
 #include "minicc/ir.hpp"
-#include "vm/batch.hpp"
 #include "vm/executor.hpp"
 #include "vm/node.hpp"
 #include "vm/program.hpp"
@@ -105,6 +98,39 @@ const IntrinsicSpec* find_intrinsic(std::string_view name);
 
 long long intrinsic_cost_units(Intrinsic tag);
 
+/// Every float op in both tiers funnels its result through this: a NaN
+/// result — propagated or freshly produced by an invalid operation —
+/// becomes THE canonical quiet NaN (0x7FF8000000000000), WebAssembly
+/// style. Without it bit-identity across tiers is at the mercy of the
+/// C++ compiler: x86 `addsd` keeps the *first* NaN operand, GCC freely
+/// commutes `a + b` per translation unit, so `+NaN + -NaN` compiled in
+/// executor.cpp and in decoded.cpp can disagree on the sign bit. The
+/// ternary compiles branch-free (unordered-compare + blend).
+inline double canonicalize_nan(double r) {
+  return r != r ? std::numeric_limits<double>::quiet_NaN() : r;
+}
+
+/// fmin/fmax with pinned-down semantics. C leaves fmax(+0, -0)
+/// unspecified, so libm and an auto-vectorized loop can legitimately
+/// pick different zero signs. The VM defines: NaN operands lose (both
+/// NaN -> canonical NaN), and equal operands — the ±0 pair — resolve by
+/// sign, fmax preferring +0 and fmin preferring -0. Both tiers call
+/// these, never libm directly.
+inline double vm_fmax(double x, double y) {
+  if (x != x) return canonicalize_nan(y != y ? x : y);
+  if (y != y) return x;
+  if (x < y) return y;
+  if (y < x) return x;
+  return std::signbit(x) ? y : x;
+}
+inline double vm_fmin(double x, double y) {
+  if (x != x) return canonicalize_nan(y != y ? x : y);
+  if (y != y) return x;
+  if (x < y) return x;
+  if (y < x) return y;
+  return std::signbit(x) ? x : y;
+}
+
 /// Thrown when a frame retires more than `max_instructions`; carries the
 /// retired count (always budget + 1: the check runs before each
 /// instruction executes) so RunResult can report the exact trap point.
@@ -144,9 +170,7 @@ struct DecodedBlock {
   int count = 0;  // first terminator (anything past it is unreachable)
   long long static_cost_units = 0;  // folded per-instruction static costs
   std::uint8_t parallel = 0;        // block sits inside a parallel loop
-  std::uint8_t has_terminator = 0;
   int loops_begin = 0, loops_end = 0;  // parallel loops headed here
-  int fused = -1;  // index into DecodedFunction::fused_loops, or -1
 };
 
 struct DecodedFunction {
@@ -159,7 +183,6 @@ struct DecodedFunction {
   std::vector<DecodedBlock> blocks;
   std::vector<int> call_args;       // flattened Call argument registers
   std::vector<DecodedLoop> header_loops;
-  std::vector<FusedLoopPlan> fused_loops;  // batch-tier superinstructions
 };
 
 /// A linked program pre-lowered for execution. Built once per Program and

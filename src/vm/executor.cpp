@@ -19,6 +19,12 @@ namespace {
 
 constexpr int kMaxLanes = 8;
 
+// Modeled-time constants: cycles inside parallel regions divide by
+// threads * kParallelEfficiency, and each outermost parallel-loop entry
+// adds kForkJoinOverheadCycles.
+constexpr double kParallelEfficiency = 0.92;
+constexpr double kForkJoinOverheadCycles = 2000.0;
+
 struct Slot {
   double f[kMaxLanes] = {0};
   long long i[kMaxLanes] = {0};
@@ -97,8 +103,8 @@ public:
     try {
       ret = exec_function(*entry, args, /*in_parallel=*/false, cost);
     } catch (const BudgetExceeded& e) {
-      // Keep the retired count observable at the trap: the decoded and
-      // batch tiers pin their trap accounting against it.
+      // Keep the retired count observable at the trap: the decoded tier
+      // pins its trap accounting against it.
       result.error = e.what();
       result.instructions = e.instructions;
       return result;
@@ -583,11 +589,10 @@ RunResult Executor::run_impl(Workload& workload) const {
   const int threads = std::max(1, std::min(options_.threads, node_.cpu.cores));
   result.threads_used = threads;
   const double eff_threads =
-      threads == 1 ? 1.0 : threads * options_.parallel_efficiency;
+      threads == 1 ? 1.0 : threads * kParallelEfficiency;
   const double total_cycles =
       result.cycles_serial + result.cycles_parallel / eff_threads +
-      static_cast<double>(result.fork_joins) *
-          options_.fork_join_overhead_cycles +
+      static_cast<double>(result.fork_joins) * kForkJoinOverheadCycles +
       result.cycles_gpu;
   result.elapsed_seconds = total_cycles / (node_.cpu.clock_ghz * 1e9);
   return result;

@@ -76,20 +76,11 @@ struct RunResult {
 struct ExecutorOptions {
   int threads = 1;
   long long max_instructions = 4'000'000'000LL;
-  double parallel_efficiency = 0.92;
-  double fork_join_overhead_cycles = 2000.0;
   /// Run on the per-instruction reference interpreter instead of the
   /// pre-decoded one. The two produce bit-identical results (asserted by
   /// tests/vm/decoded_equivalence_test.cpp); the reference exists as the
   /// executable specification of the cost model.
   bool reference_interpreter = false;
-  /// Batch tier: let the decoded machine execute fused loops (dot, axpy,
-  /// scale, reduce shapes) as whole-lane superinstructions. Results,
-  /// cost accounting, and trap behavior are bit-identical either way
-  /// (asserted by tests/vm/batch_equivalence_test.cpp); disabling this
-  /// only selects the per-instruction decoded path, e.g. to isolate a
-  /// suspected fusion bug. Ignored by the reference interpreter.
-  bool batch_superinstructions = true;
   /// Per-run stats hook: invoked once at the end of every run() (success
   /// and failure) with the final RunResult, before it is returned. The
   /// serving layer points this at its telemetry counters (instructions

@@ -51,7 +51,7 @@ done
 # (artifact_store, spec_cache, ...) must appear in the architecture map
 # or the service internals doc. Shared concurrency primitives
 # (src/common/*.hpp: rcu, mpmc_ring, ...) and the VM's execution tiers
-# (src/vm/*.hpp: executor, decoded, batch, ...) are held to the same
+# (src/vm/*.hpp: executor, decoded, ...) are held to the same
 # rule — a new header fails the gate until the docs cover it.
 for header in "$ROOT"/src/service/*.hpp "$ROOT"/src/common/*.hpp \
               "$ROOT"/src/vm/*.hpp; do

@@ -3,7 +3,8 @@
 // semantics kept in executor.cpp) on whole applications: same return
 // values, same cost-model outputs to the last bit, same buffer
 // contents, same errors. Shared assertions live in equivalence_util.hpp;
-// the batch-tier-specific suites are in batch_equivalence_test.cpp.
+// the kernel-level suites and the differential fuzzer are in
+// vm_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include "apps/minilulesh.hpp"

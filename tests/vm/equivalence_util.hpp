@@ -1,11 +1,11 @@
 // Shared bit-identity assertions for the interpreter-equivalence suites.
 //
-// The three execution tiers (reference interpreter, decoded machine,
-// batch superinstructions) must be observationally identical: same
-// return values, same cost-model outputs to the last bit, same buffer
-// contents, same errors. Costs accumulate in exact integer units in
-// every tier (see decoded.hpp), so every comparison here is strict
-// equality, not a tolerance.
+// The two execution tiers (reference interpreter, decoded machine) must
+// be observationally identical: same return values, same cost-model
+// outputs to the last bit, same buffer contents, same errors and trap
+// counts. Costs accumulate in exact integer units in both tiers (see
+// decoded.hpp), so every comparison here is strict equality, not a
+// tolerance.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -60,12 +60,17 @@ inline void expect_buffers_identical(const Workload& a, const Workload& b) {
 }
 
 /// Run the workload through both interpreters on the same program/node
-/// and assert every observable output matches (batch tier stays at its
-/// default, so this also covers fused loops when the program has any).
+/// and assert every observable output matches. The reference run is the
+/// spec; the decoded run must match it bit for bit, trap runs included.
+/// A non-negative `max_instructions` overrides the default budget.
 inline void check_program(const Program& program, const std::string& node_name,
-                          const Workload& workload, int threads) {
+                          const Workload& workload, int threads,
+                          long long max_instructions = -1) {
   ExecutorOptions decoded_options;
   decoded_options.threads = threads;
+  if (max_instructions >= 0) {
+    decoded_options.max_instructions = max_instructions;
+  }
   ExecutorOptions reference_options = decoded_options;
   reference_options.reference_interpreter = true;
 
@@ -77,35 +82,6 @@ inline void check_program(const Program& program, const std::string& node_name,
   const RunResult rr = reference.run(w_reference);
   expect_identical(rd, rr);
   expect_buffers_identical(w_decoded, w_reference);
-}
-
-/// Three-way check: reference interpreter vs decoded-with-batch-off vs
-/// decoded-with-batch-on, pairwise over results and buffers. The
-/// reference run is the spec; both decoded flavors must match it bit
-/// for bit, trap runs included.
-inline void check_three_tiers(const Program& program,
-                              const std::string& node_name,
-                              const Workload& workload, int threads,
-                              long long max_instructions = -1) {
-  ExecutorOptions batch_options;
-  batch_options.threads = threads;
-  if (max_instructions >= 0) batch_options.max_instructions = max_instructions;
-  ExecutorOptions scalar_options = batch_options;
-  scalar_options.batch_superinstructions = false;
-  ExecutorOptions reference_options = batch_options;
-  reference_options.reference_interpreter = true;
-
-  Workload w_batch = workload;
-  Workload w_scalar = workload;
-  Workload w_reference = workload;
-  const NodeSpec n = node(node_name);
-  const RunResult rb = Executor(program, n, batch_options).run(w_batch);
-  const RunResult rs = Executor(program, n, scalar_options).run(w_scalar);
-  const RunResult rr = Executor(program, n, reference_options).run(w_reference);
-  expect_identical(rb, rr);
-  expect_identical(rs, rr);
-  expect_buffers_identical(w_batch, w_reference);
-  expect_buffers_identical(w_scalar, w_reference);
 }
 
 }  // namespace xaas::vm::testing

@@ -236,7 +236,7 @@ TEST(Executor, BudgetTrapCountsPinnedAcrossTiers) {
   // The budget check runs before each instruction retires, in every
   // tier: a trapped run reports exactly max_instructions + 1, and a
   // budget of exactly the program's count does not trap. The loop is a
-  // fusable dot shape, so the batch tier's clamp logic is on the line.
+  // vectorized dot, so budgets land both at and inside block bounds.
   const std::string src =
       "double dot(double* a, double* b, int n) {\n"
       "  double acc = 0.0;\n"
@@ -261,18 +261,17 @@ TEST(Executor, BudgetTrapCountsPinnedAcrossTiers) {
   const auto run_tier = [&](int tier, long long budget) {
     ExecutorOptions options;
     if (budget >= 0) options.max_instructions = budget;
-    options.reference_interpreter = (tier == 2);
-    options.batch_superinstructions = (tier == 0);
+    options.reference_interpreter = (tier == 1);
     Workload w = make_workload();
     return Executor(program, node("ault23"), options).run(w);
   };
 
-  const RunResult full = run_tier(2, -1);
+  const RunResult full = run_tier(1, -1);
   ASSERT_TRUE(full.ok) << full.error;
   const long long total = full.instructions;
   ASSERT_GT(total, 100);
 
-  for (int tier : {0, 1, 2}) {
+  for (int tier : {0, 1}) {
     // Exact budget: completes, same count.
     const RunResult exact = run_tier(tier, total);
     EXPECT_TRUE(exact.ok) << exact.error;

@@ -1,20 +1,18 @@
-// Batch-tier equivalence: the fused superinstruction path in
-// vm/decoded.cpp + vm/batch.hpp must be bit-identical to the
-// per-instruction decoded path AND to the reference interpreter —
-// numerics, instruction counts, cycle units, buffers, and traps.
+// Kernel-level equivalence: the decoded machine (vm/decoded.cpp) must be
+// bit-identical to the reference interpreter — numerics, instruction
+// counts, cycle units, buffers, and traps.
 //
 // Two layers:
-//  - BatchEquivalence.*: deterministic kernels covering every fusion
-//    shape in the catalog (dot, axpy, scale, reduce, fill, copy,
-//    intrinsics), every batch width, lengths that do and do not divide
-//    the width, trap paths (OOB, instruction budget, unresolved calls),
-//    and aliasing in/out streams.
-//  - BatchEquivalenceStress.*: a seeded differential fuzzer that
-//    generates random programs from a kernel grammar and random
-//    workloads (NaN/Inf lanes included) and shoves them through all
-//    three tiers. The suite name matches XAAS_STRESS_FILTER so it runs
-//    under TSan/ASan in the stress CI lanes; a multithreaded case
-//    shares one DecodedProgram across racing runs for TSan's benefit.
+//  - VmEquivalence.*: deterministic loop kernels (dot, axpy, scale,
+//    reduce, fill, copy, intrinsics) at every vector width, lengths that
+//    do and do not divide the width, trap paths (OOB, instruction
+//    budget, unresolved calls), and aliasing in/out streams.
+//  - VmEquivalenceStress.*: a seeded differential fuzzer that generates
+//    random programs from a kernel grammar and random workloads
+//    (NaN/Inf lanes included) and runs them on both tiers. The suite
+//    name matches XAAS_STRESS_FILTER so it runs under TSan/ASan in the
+//    stress CI lanes; a multithreaded case shares one DecodedProgram
+//    across racing runs for TSan's benefit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +33,7 @@
 namespace xaas::vm {
 namespace {
 
-using testing::check_three_tiers;
+using testing::check_program;
 using testing::expect_buffers_identical;
 using testing::expect_identical;
 
@@ -62,12 +60,12 @@ const isa::VectorIsa kIsas[] = {isa::VectorIsa::None, isa::VectorIsa::SSE2,
                                 isa::VectorIsa::AVX2_256,
                                 isa::VectorIsa::AVX_512};
 
-// Lengths straddling every batch width: zero-trip, one-trip, smaller
+// Lengths straddling every vector width: zero-trip, one-trip, smaller
 // than the width, exact multiples, off-by-a-few remainders, and sizes
-// crossing the chunk boundary (kBatchChunkLanes = 1024 lanes).
+// past 1024 lanes.
 const int kLengths[] = {0, 1, 5, 8, 64, 67, 250, 1000, 1003, 2048, 2051};
 
-TEST(BatchEquivalence, DotProduct) {
+TEST(VmEquivalence, DotProduct) {
   const std::string src =
       "double dot(double* a, double* b, int n) {\n"
       "  double acc = 0.0;\n"
@@ -83,12 +81,12 @@ TEST(BatchEquivalence, DotProduct) {
       w.f64_buffers["b"] = ramp(n, -0.125, 7.5);
       w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
                 Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, Axpy) {
+TEST(VmEquivalence, Axpy) {
   const std::string src =
       "void axpy(double a, double* x, double* y, int n) {\n"
       "  for (int i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }\n"
@@ -102,12 +100,12 @@ TEST(BatchEquivalence, Axpy) {
       w.f64_buffers["y"] = ramp(n, -2.0, 1.0);
       w.args = {Workload::Arg::f64(2.5), Workload::Arg::buf_f64("x"),
                 Workload::Arg::buf_f64("y"), Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, ScaleAndShift) {
+TEST(VmEquivalence, ScaleAndShift) {
   const std::string src =
       "void scale(double* x, double* out, double s, double t, int n) {\n"
       "  for (int i = 0; i < n; i++) { out[i] = s * x[i] + t; }\n"
@@ -122,12 +120,12 @@ TEST(BatchEquivalence, ScaleAndShift) {
       w.args = {Workload::Arg::buf_f64("x"), Workload::Arg::buf_f64("out"),
                 Workload::Arg::f64(-1.25), Workload::Arg::f64(0.75),
                 Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, SumReduce) {
+TEST(VmEquivalence, SumReduce) {
   const std::string src =
       "double sum(double* a, int n) {\n"
       "  double acc = 0.0;\n"
@@ -141,12 +139,12 @@ TEST(BatchEquivalence, SumReduce) {
       w.entry = "sum";
       w.f64_buffers["a"] = ramp(n, 0.1, -5.0);
       w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, FillAndCopy) {
+TEST(VmEquivalence, FillAndCopy) {
   const std::string src =
       "void fill(double* a, double v, int n) {\n"
       "  for (int i = 0; i < n; i++) { a[i] = v; }\n"
@@ -162,7 +160,7 @@ TEST(BatchEquivalence, FillAndCopy) {
       wf.f64_buffers["a"] = ramp(n, 1.0, 0.0);
       wf.args = {Workload::Arg::buf_f64("a"), Workload::Arg::f64(42.5),
                  Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", wf, 1);
+      check_program(program, "ault23", wf, 1);
 
       Workload wc;
       wc.entry = "copy";
@@ -170,14 +168,14 @@ TEST(BatchEquivalence, FillAndCopy) {
       wc.f64_buffers["b"] = std::vector<double>(static_cast<std::size_t>(n));
       wc.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
                  Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", wc, 1);
+      check_program(program, "ault23", wc, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, IntrinsicKernels) {
-  // Every table intrinsic inside a fusable loop body. fmin/fmax and
-  // sqrt/fabs NaN behavior must match the interpreter exactly.
+TEST(VmEquivalence, IntrinsicKernels) {
+  // Every table intrinsic inside a loop body. fmin/fmax and sqrt/fabs
+  // NaN behavior must match the reference interpreter exactly.
   const std::string src =
       "void norm(double* a, double* out, int n) {\n"
       "  for (int i = 0; i < n; i++) { out[i] = sqrt(fabs(a[i])); }\n"
@@ -213,7 +211,7 @@ TEST(BatchEquivalence, IntrinsicKernels) {
         } else {
           w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::i64(n)};
         }
-        check_three_tiers(program, "ault23", w, 1);
+        check_program(program, "ault23", w, 1);
       }
       Workload w;
       w.entry = "soften";
@@ -222,15 +220,15 @@ TEST(BatchEquivalence, IntrinsicKernels) {
       w.f64_buffers["out"] = std::vector<double>(static_cast<std::size_t>(n));
       w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
                 Workload::Arg::buf_f64("out"), Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, AliasedInputOutput) {
+TEST(VmEquivalence, AliasedInputOutput) {
   // In-place update (x reads and writes the same buffer) and an
-  // out-stream that also feeds a load: the staged-copy path in
-  // batch.hpp must reproduce the interpreter's read-then-write order.
+  // out-stream that also feeds a load: the decoded machine must keep the
+  // reference interpreter's read-then-write order.
   const std::string src =
       "void inplace(double* x, int n) {\n"
       "  for (int i = 0; i < n; i++) { x[i] = 2.0 * x[i] + 1.0; }\n"
@@ -245,7 +243,7 @@ TEST(BatchEquivalence, AliasedInputOutput) {
       wi.entry = "inplace";
       wi.f64_buffers["x"] = ramp(n, 0.5, -1.0);
       wi.args = {Workload::Arg::buf_f64("x"), Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", wi, 1);
+      check_program(program, "ault23", wi, 1);
 
       Workload wm;
       wm.entry = "mix";
@@ -253,7 +251,7 @@ TEST(BatchEquivalence, AliasedInputOutput) {
       wm.f64_buffers["y"] = ramp(n, -1.0, 3.0);
       wm.args = {Workload::Arg::buf_f64("x"), Workload::Arg::buf_f64("y"),
                  Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", wm, 1);
+      check_program(program, "ault23", wm, 1);
 
       // Same buffer passed as both streams: load aliases store exactly.
       Workload wa;
@@ -261,12 +259,12 @@ TEST(BatchEquivalence, AliasedInputOutput) {
       wa.f64_buffers["x"] = ramp(n, 1.0, 0.5);
       wa.args = {Workload::Arg::buf_f64("x"), Workload::Arg::buf_f64("x"),
                  Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", wa, 1);
+      check_program(program, "ault23", wa, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, ParallelLoops) {
+TEST(VmEquivalence, ParallelLoops) {
   const std::string src =
       "double pdot(double* a, double* b, int n) {\n"
       "  double acc = 0.0;\n"
@@ -284,16 +282,16 @@ TEST(BatchEquivalence, ParallelLoops) {
         w.f64_buffers["b"] = ramp(n, 0.5, 1.0);
         w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
                   Workload::Arg::i64(n)};
-        check_three_tiers(program, "ault23", w, threads);
+        check_program(program, "ault23", w, threads);
       }
     }
   }
 }
 
-TEST(BatchEquivalence, OutOfBoundsTrapsIdentical) {
-  // The batch tier must reject engagement when a stream would run past
-  // its buffer and let the interpreter produce the trap, leaving
-  // partially-written buffers in exactly the reference state.
+TEST(VmEquivalence, OutOfBoundsTrapsIdentical) {
+  // A stream running past its buffer traps at the same instruction in
+  // both tiers, leaving partially-written buffers in exactly the
+  // reference state.
   const std::string src =
       "void stomp(double* x, int n) {\n"
       "  for (int i = 0; i < n; i++) { x[i] = 1.0 + x[i]; }\n"
@@ -305,16 +303,16 @@ TEST(BatchEquivalence, OutOfBoundsTrapsIdentical) {
       w.entry = "stomp";
       w.f64_buffers["x"] = ramp(n / 2, 1.0, 0.0);  // half the claimed size
       w.args = {Workload::Arg::buf_f64("x"), Workload::Arg::i64(n)};
-      check_three_tiers(program, "ault23", w, 1);
+      check_program(program, "ault23", w, 1);
     }
   }
 }
 
-TEST(BatchEquivalence, BudgetTrapsIdentical) {
-  // Instruction-budget traps inside would-be-fused loops: the batch
-  // tier clamps its iteration count to the remaining budget, so the
-  // trap fires at exactly max_instructions + 1 retired instructions in
-  // all three tiers, with identical partial buffer state.
+TEST(VmEquivalence, BudgetTrapsIdentical) {
+  // Instruction-budget traps inside loops: the decoded machine falls
+  // back to per-op accounting in the block that crosses the budget, so
+  // the trap fires at exactly max_instructions + 1 retired instructions
+  // in both tiers, with identical partial buffer state.
   const std::string src =
       "double work(double* a, double* b, int n) {\n"
       "  double acc = 0.0;\n"
@@ -333,12 +331,12 @@ TEST(BatchEquivalence, BudgetTrapsIdentical) {
       w.f64_buffers["b"] = ramp(200, -0.5, 2.0);
       w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
                 Workload::Arg::i64(200)};
-      check_three_tiers(program, "ault23", w, 1, budget);
+      check_program(program, "ault23", w, 1, budget);
     }
   }
 }
 
-TEST(BatchEquivalence, UnresolvedCallDiagnostics) {
+TEST(VmEquivalence, UnresolvedCallDiagnostics) {
   // A fully linked program never decodes CallKind::Unresolved (irgen
   // rejects unknown callees inside a module; Program::link rejects
   // unresolved cross-module symbols), so unresolved() must be empty —
@@ -371,7 +369,7 @@ TEST(BatchEquivalence, UnresolvedCallDiagnostics) {
   }
 }
 
-TEST(BatchEquivalence, IntrinsicTableCoversFrontend) {
+TEST(VmEquivalence, IntrinsicTableCoversFrontend) {
   // The static table is the single source of truth for both tiers; it
   // must stay in bijection with the frontend's intrinsic set.
   const auto& table = intrinsic_table();
@@ -402,9 +400,8 @@ struct FuzzCase {
 };
 
 // Kernel grammar: every template takes (buffers..., [scalar,] n). The
-// bodies mix fusable shapes, almost-fusable controls (the recognizer
-// must *reject* these and still match the reference), and non-loop
-// code.
+// bodies mix unit-stride streams, reversed and gathered indexing,
+// loop-carried memory recurrences, parallel loops, and non-loop code.
 FuzzCase fuzz_case(std::mt19937_64& rng) {
   static const FuzzCase kCases[] = {
       {"double k(double* a, double* b, int n) {\n"
@@ -431,23 +428,23 @@ FuzzCase fuzz_case(std::mt19937_64& rng) {
       {"void k(double* a, double* b, int n) {\n"
        "  for (int i = 0; i < n; i++) { b[i] = exp(floor(a[i])); }\n}\n",
        "k", 2, false},
-      // Reversed iteration: not fusable (negative step), must fall back.
+      // Reversed iteration (negative step).
       {"double k(double* a, int n) {\n"
        "  double acc = 0.0;\n"
        "  for (int i = n - 1; i >= 0; i = i - 1) { acc += a[i]; }\n"
        "  return acc;\n}\n",
        "k", 1, false},
-      // Loop-carried recurrence through memory: not fusable.
+      // Loop-carried recurrence through memory.
       {"void k(double* a, int n) {\n"
        "  for (int i = 1; i < n; i++) { a[i] = a[i] + a[i - 1]; }\n}\n",
        "k", 1, false},
-      // Gather through a computed index: not fusable.
+      // Gather through a computed index.
       {"double k(double* a, double* b, int n) {\n"
        "  double acc = 0.0;\n"
        "  for (int i = 0; i < n; i++) { acc += a[i] * b[n - 1 - i]; }\n"
        "  return acc;\n}\n",
        "k", 2, false},
-      // Two fused loops back to back sharing a stream.
+      // Two loops back to back sharing a stream.
       {"double k(double* a, double* b, double s, int n) {\n"
        "  for (int i = 0; i < n; i++) { b[i] = s * a[i]; }\n"
        "  double acc = 0.0;\n"
@@ -461,7 +458,7 @@ FuzzCase fuzz_case(std::mt19937_64& rng) {
        "  if (acc > 100.0) { acc = acc - 100.0; }\n"
        "  return acc * 2.0;\n}\n",
        "k", 1, true},
-      // Parallel fused loop.
+      // Parallel loop.
       {"double k(double* a, double* b, int n) {\n"
        "  double acc = 0.0;\n"
        "#pragma omp parallel for\n"
@@ -520,10 +517,10 @@ void run_fuzz_seed(std::uint64_t seed) {
   // Sometimes squeeze the budget to land a trap inside the loop.
   long long budget = -1;
   if (rng() % 4 == 0) budget = static_cast<long long>(rng() % 4000) + 1;
-  check_three_tiers(program, "ault23", w, threads, budget);
+  check_program(program, "ault23", w, threads, budget);
 }
 
-TEST(BatchEquivalenceStress, DifferentialFuzz) {
+TEST(VmEquivalenceStress, DifferentialFuzz) {
   for (std::uint64_t seed = 1; seed <= 160; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     run_fuzz_seed(seed);
@@ -531,9 +528,9 @@ TEST(BatchEquivalenceStress, DifferentialFuzz) {
   }
 }
 
-TEST(BatchEquivalenceStress, SharedDecodedProgramAcrossThreads) {
-  // Many executors racing over one DecodedProgram, fused path engaged:
-  // TSan checks the decoded/batch structures are genuinely read-only.
+TEST(VmEquivalenceStress, SharedDecodedProgramAcrossThreads) {
+  // Many executors racing over one DecodedProgram: TSan checks the
+  // decoded structures are genuinely read-only during execution.
   const std::string src =
       "double dot(double* a, double* b, int n) {\n"
       "  double acc = 0.0;\n"
@@ -559,10 +556,8 @@ TEST(BatchEquivalenceStress, SharedDecodedProgramAcrossThreads) {
   std::vector<std::thread> workers;
   std::atomic<int> mismatches{0};
   for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&, t] {
-      ExecutorOptions options;
-      options.batch_superinstructions = (t % 2 == 0);
-      const Executor exec(program, node("ault23"), options, decoded);
+    workers.emplace_back([&] {
+      const Executor exec(program, node("ault23"), ExecutorOptions{}, decoded);
       for (int iter = 0; iter < 50; ++iter) {
         Workload w = base;
         const RunResult r = exec.run(w);
