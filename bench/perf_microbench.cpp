@@ -10,6 +10,7 @@
 #include <map>
 #include <shared_mutex>
 
+#include "apps/minillama.hpp"
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "common/hashing.hpp"
@@ -25,6 +26,7 @@
 #include "service/gateway.hpp"
 #include "vm/executor.hpp"
 #include "vm/program.hpp"
+#include "xaas/ir_deploy.hpp"
 #include "xaas/ir_pipeline.hpp"
 
 namespace {
@@ -140,6 +142,120 @@ void BM_ExecutorDot(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ExecutorDot)->Arg(1024)->Arg(16384);
+
+// Bitwise equality of two workloads' buffers (NaN payloads and zero signs
+// included, which operator== on doubles would not distinguish).
+template <class T>
+bool same_bits(const std::map<std::string, std::vector<T>>& a,
+               const std::map<std::string, std::vector<T>>& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [name, va] : a) {
+    const auto it = b.find(name);
+    if (it == b.end() || it->second.size() != va.size()) return false;
+    if (!va.empty() &&
+        std::memcmp(va.data(), it->second.data(), va.size() * sizeof(T)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The three apps' apps_hot serving workloads (perfbench), each deployed
+// from an IR container to ault23 and run single-threaded on the decoded
+// machine. `ns_per_instr` is time per retired VM instruction, the
+// per-layer cost perfbench reports as vm.ns_per_instr. As in
+// BM_ExecutorDot, a first run is checked bit-for-bit against the
+// reference interpreter (return value, cost counters, buffers) and any
+// divergence fails the run and the bench smoke gate.
+void run_app(benchmark::State& state, const Application& app,
+             const IrBuildOptions& points,
+             std::map<std::string, std::string> selections,
+             const vm::Workload& workload) {
+  const auto built = build_ir_container(app, isa::Arch::X86_64, points);
+  if (!built.ok) {
+    state.SkipWithError("IR container build failed");
+    return;
+  }
+  IrDeployOptions options;
+  options.selections = std::move(selections);
+  const vm::NodeSpec& node = vm::node("ault23");
+  const DeployedApp deployed = deploy_ir_container(built.image, node, options);
+  if (!deployed.ok) {
+    state.SkipWithError(deployed.error.c_str());
+    return;
+  }
+  const vm::Executor exec(deployed.program, node, {}, deployed.decoded);
+
+  vm::RunResult probe;
+  {
+    vm::ExecutorOptions ref_options;
+    ref_options.reference_interpreter = true;
+    vm::Workload w_ref = workload;
+    vm::Workload w_probe = workload;
+    const auto ref =
+        vm::Executor(deployed.program, node, ref_options).run(w_ref);
+    probe = exec.run(w_probe);
+    if (!ref.ok || !probe.ok ||
+        std::memcmp(&ref.ret_f64, &probe.ret_f64, sizeof(double)) != 0 ||
+        ref.ret_i64 != probe.ret_i64 ||
+        ref.instructions != probe.instructions ||
+        ref.cycles_serial != probe.cycles_serial ||
+        ref.cycles_parallel != probe.cycles_parallel ||
+        ref.cycles_gpu != probe.cycles_gpu ||
+        ref.fork_joins != probe.fork_joins ||
+        !same_bits(w_ref.f64_buffers, w_probe.f64_buffers) ||
+        !same_bits(w_ref.i64_buffers, w_probe.i64_buffers)) {
+      state.SkipWithError("executor tiers diverged from the reference");
+      return;
+    }
+  }
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    vm::Workload w = workload;
+    state.ResumeTiming();
+    auto r = exec.run(w);
+    if (!r.ok) state.SkipWithError(r.error.c_str());
+    benchmark::DoNotOptimize(r);
+  }
+  // kIsRate divides by the measured time and kInvert flips it: seconds
+  // per 1e9 instructions, i.e. ns per instruction.
+  state.counters["ns_per_instr"] = benchmark::Counter(
+      static_cast<double>(probe.instructions) *
+          static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["instructions"] = static_cast<double>(probe.instructions);
+}
+
+void BM_AppMinimd(benchmark::State& state) {
+  apps::MinimdOptions app_options;
+  app_options.module_count = 4;
+  app_options.gpu_module_count = 1;
+  IrBuildOptions points;
+  points.points = {{"MD_SIMD", {"AVX_512"}}};
+  run_app(state, apps::make_minimd(app_options), points,
+          {{"MD_SIMD", "AVX_512"}},
+          apps::minimd_workload(apps::minimd_test_a(240)));
+}
+BENCHMARK(BM_AppMinimd)->Unit(benchmark::kMillisecond);
+
+void BM_AppLulesh(benchmark::State& state) {
+  IrBuildOptions points;
+  points.points = {{"LULESH_MPI", {"OFF"}}, {"LULESH_OPENMP", {"ON"}}};
+  run_app(state, apps::make_minilulesh(), points,
+          {{"LULESH_MPI", "OFF"}, {"LULESH_OPENMP", "ON"}},
+          apps::minilulesh_workload(2048, 16));
+}
+BENCHMARK(BM_AppLulesh)->Unit(benchmark::kMillisecond);
+
+void BM_AppLlama(benchmark::State& state) {
+  IrBuildOptions points;
+  points.points = {{"LL_SIMD", {"AVX_512"}}, {"LL_BLAS", {"none"}}};
+  run_app(state, apps::make_minillama(), points,
+          {{"LL_SIMD", "AVX_512"}, {"LL_BLAS", "none"}},
+          apps::minillama_workload({128, 4, 2}));
+}
+BENCHMARK(BM_AppLlama)->Unit(benchmark::kMillisecond);
 
 void BM_IrContainerBuildLulesh(benchmark::State& state) {
   const Application app = apps::make_minilulesh();

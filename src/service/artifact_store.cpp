@@ -40,13 +40,16 @@ std::optional<std::string> read_file(const fs::path& path) {
 /// Atomic publish: write to a unique sibling temp file, then rename.
 /// Readers (this process or another sharing the directory) either see
 /// the old complete file or the new complete file, never a partial one.
-bool write_file_atomic(const fs::path& path, std::string_view contents,
-                       std::uint64_t unique_seq) {
+/// The temp name is unique per process (pid) and per write within it (a
+/// process-wide counter): two stores sharing a directory in one process
+/// must not write the same temp file.
+bool write_file_atomic(const fs::path& path, std::string_view contents) {
+  static std::atomic<std::uint64_t> temp_seq{0};
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
   fs::path temp = path.parent_path() /
                   (".tmp-" + std::to_string(::getpid()) + "-" +
-                   std::to_string(unique_seq) + "-" +
+                   std::to_string(++temp_seq) + "-" +
                    path.filename().string());
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -161,7 +164,7 @@ void ArtifactStore::write_index_locked() {
     entries.push_back(std::move(entry));
   }
   doc["entries"] = std::move(entries);
-  write_file_atomic(fs::path(options_.dir) / kIndexName, doc.dump(), ++temp_seq_);
+  write_file_atomic(fs::path(options_.dir) / kIndexName, doc.dump());
 }
 
 void ArtifactStore::flush_index() {
@@ -222,7 +225,7 @@ bool ArtifactStore::publish_blob(const std::string& digest,
     // the caller degrades exactly as on a real failed write (the store
     // is simply not warm for this key).
     if (XAAS_FAULT_POINT(fault::kStoreWrite, digest) ||
-        !write_file_atomic(blob_path(digest), blob, ++temp_seq_)) {
+        !write_file_atomic(blob_path(digest), blob)) {
       return false;
     }
     auto& info = blobs_[digest];

@@ -212,7 +212,6 @@ private:
   std::map<std::string, BlobInfo> blobs_;  // digest -> accounting
   std::uint64_t total_bytes_ = 0;
   std::uint64_t clock_ = 0;
-  std::uint64_t temp_seq_ = 0;  // unique temp-file suffix within this store
   std::uint64_t puts_since_index_flush_ = 0;
 
   std::atomic<std::size_t> disk_hits_{0};

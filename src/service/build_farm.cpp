@@ -3,7 +3,6 @@
 #include "common/hashing.hpp"
 #include "service/distribution.hpp"
 #include "service/fault.hpp"
-#include "vm/decoded.hpp"
 
 namespace xaas::service {
 
@@ -121,13 +120,10 @@ FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
   const auto app_ptr = cache_.get_or_deploy(
       key,
       [&]() -> std::shared_ptr<const DeployedApp> {
-        auto deployed = std::make_shared<DeployedApp>(build_source_deploy(
+        // build_source_deploy decodes the program once; every node
+        // sharing this entry reuses it.
+        return std::make_shared<DeployedApp>(build_source_deploy(
             *image, app, plan, state->tu_cache.get()));
-        if (deployed->ok) {
-          deployed->decoded = std::make_shared<const vm::DecodedProgram>(
-              vm::DecodedProgram::build(deployed->program));
-        }
-        return deployed;
       },
       &result.cache_hit);
 

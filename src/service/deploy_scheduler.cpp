@@ -4,7 +4,6 @@
 #include "service/build_farm.hpp"
 #include "service/distribution.hpp"
 #include "service/fault.hpp"
-#include "vm/decoded.hpp"
 
 namespace xaas::service {
 
@@ -99,12 +98,8 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
         // fails loudly instead of silently simulating the wrong node
         // (fleet callers run through FleetDeployResult::run / run_on).
         deployed->node_name.clear();
-        if (deployed->ok) {
-          // Decode once here; every executor on every node of the fleet
-          // reuses this DecodedProgram.
-          deployed->decoded = std::make_shared<const vm::DecodedProgram>(
-              vm::DecodedProgram::build(deployed->program));
-        }
+        // deploy_ir_container decoded the program once; every executor
+        // on every node of the fleet reuses that DecodedProgram.
         return deployed;
       },
       &result.cache_hit);

@@ -13,7 +13,29 @@
 //  - per-block static cost and instruction totals folded at decode time,
 //    so a block traversal adds one number instead of one per instruction,
 //  - parallel-loop metadata (which blocks are inside a parallel region,
-//    which loops fork at which header) as flat vectors instead of maps.
+//    which loops fork at which header) as flat vectors instead of maps,
+//  - operand registers as byte offsets into the frame, and a result with
+//    no destination register aimed at a sink register past the last one.
+//
+// One dispatch per instruction. Decode tags every instruction with its
+// (opcode, width) pair (`DecodedInst::dispatch`). The machine's block loop
+// is one switch over that tag, and every case is the instruction's body
+// instantiated for its width and inlined into the loop: widths 1, 2, 4
+// and 8 (everything lowering emits) get fixed-width bodies whose float
+// lanes run two at a time as vector code, and one runtime-width body
+// serves any other width in [1, kMaxLanes].
+//
+// The decoded-tier register invariant: a register whose last write had
+// width 1 (lanes == 1) holds that value in all kMaxLanes lanes of the
+// bank it was written through. Every width-1 producer broadcasts —
+// arithmetic, compares, conversions, loads, constants, Mov, VSplat,
+// HReduceAdd, intrinsic and user-call results, and entry arguments — so
+// a width-W body reads lane l of any operand as plain f[l] / i[l], where
+// the reference reads lane 0 of a scalar. Only HReduceAdd still reads
+// `lanes`. A width-1 write also zeroes lane 0 of the other bank, which
+// keeps a returned register's ret_f64/ret_i64 equal to the reference's.
+// Well-typed IR never reads the other bank of a register or lanes past a
+// vector's width, where the two tiers' register files may differ.
 //
 // Cost model arithmetic: every per-instruction cost is a multiple of
 // 0.05 cycles, so costs are accumulated as integers in 1/20-cycle units
@@ -26,7 +48,7 @@
 // The instruction budget is enforced per instruction in every tier. The
 // decoded machine keeps the folded fast path while a whole block fits
 // under the remaining budget; a block that could cross the boundary is
-// re-executed through a per-op-accounting instantiation of the same
+// executed through a per-op-accounting instantiation of the same
 // switch, so the trap fires after exactly max_instructions + 1 retired
 // instructions — the same count, error text, and architectural state as
 // the per-instruction reference interpreter (`BudgetExceeded` below
@@ -48,6 +70,15 @@
 #include "vm/program.hpp"
 
 namespace xaas::vm {
+
+/// Lane count of a VM register, the widest vector width either tier
+/// executes. Program::link rejects instruction widths outside
+/// [1, kMaxLanes].
+inline constexpr int kMaxLanes = 8;
+
+/// Largest register file a function may declare; Program::link rejects
+/// bigger ones, which bounds a frame and its decoded offsets.
+inline constexpr int kMaxRegisters = 1 << 20;
 
 /// Fixed-point scale of the cost model: 1 cycle == 20 units, chosen so
 /// every op/intrinsic cost (multiples of 0.05 cycles) is integral.
@@ -150,8 +181,16 @@ struct DecodedInst {
   minicc::ir::CmpPred pred;
   CallKind call_kind = CallKind::None;
   Intrinsic intrinsic = Intrinsic::Sqrt;  // meaningful only for IntrinsicCall
-  int width = 1;  // already clamped to the executor's lane maximum
+  /// Selects the (opcode, width) body the machine runs; see decoded.cpp.
+  std::uint16_t dispatch = 0;
+  int width = 1;  // clamped to [1, kMaxLanes]
+  /// Register written, as a byte offset into the frame like the operands
+  /// below. An instruction without one (IR dst -1) writes the frame's
+  /// sink register at index num_regs, so writes never branch.
   int dst = -1;
+  /// Operand registers as byte offsets into the frame (register index
+  /// times the register size), -1 when absent. Intrinsic calls carry
+  /// their first two arguments here; an absent one reads as 0.0.
   int a = -1, b = -1, c = -1;
   int t1 = -1, t2 = -1;
   int callee = -1;          // decoded-function index (User) or name index (Unresolved)

@@ -17,8 +17,6 @@ using minicc::ir::RegType;
 
 namespace {
 
-constexpr int kMaxLanes = 8;
-
 // Modeled-time constants: cycles inside parallel regions divide by
 // threads * kParallelEfficiency, and each outermost parallel-loop entry
 // adds kForkJoinOverheadCycles.

@@ -11,20 +11,39 @@
 
 namespace xaas::vm {
 
+/// Why Program::link failed. For a bad operand, the location names the
+/// offending instruction (block and instruction index in `function`;
+/// both -1 when a parameter register is at fault).
 struct LinkError {
+  enum class Kind {
+    None,
+    NoModules,
+    IsaMismatch,
+    DuplicateSymbol,
+    UnresolvedSymbol,
+    BadOperand,
+  };
+  Kind kind = Kind::None;
   std::string message;
+  std::string function;
+  int block = -1;
+  int inst = -1;
 };
 
 class Program {
 public:
-  /// Link machine modules; fails on duplicate or unresolved symbols and
-  /// on mixed target ISAs (object files from different targets do not
-  /// link, same as real toolchains).
+  /// Link machine modules; fails on duplicate or unresolved symbols, on
+  /// mixed target ISAs (object files from different targets do not
+  /// link, same as real toolchains), and on instructions neither tier
+  /// can execute safely: a register operand outside the function's
+  /// register file, a register file larger than kMaxRegisters, a branch
+  /// to a block that does not exist, or a width outside [1, kMaxLanes].
   static Program link(std::vector<minicc::MachineModule> modules,
                       std::string* error = nullptr);
 
   bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
+  const std::string& error() const { return error_.message; }
+  const LinkError& link_error() const { return error_; }
 
   const minicc::ir::Function* find_function(const std::string& name) const;
   const minicc::TargetSpec& target() const { return target_; }
@@ -43,7 +62,7 @@ public:
 
 private:
   bool ok_ = false;
-  std::string error_;
+  LinkError error_;
   std::vector<minicc::MachineModule> modules_;
   std::map<std::string, const minicc::ir::Function*> symbols_;
   minicc::TargetSpec target_;

@@ -3,6 +3,7 @@
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "minicc/driver.hpp"
+#include "vm/decoded.hpp"
 
 namespace xaas {
 
@@ -313,6 +314,10 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
                       plan.configuration + "|" + target.to_string())
           .build();
   result.image_digest = result.image.digest();
+  // Decode once per deployment: every run of this app, on any executor,
+  // shares the decoded program.
+  result.decoded = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::build(result.program));
   result.ok = true;
   return result;
 }

@@ -5,6 +5,7 @@
 #include "minicc/compile_cache.hpp"
 #include "minicc/driver.hpp"
 #include "spec/system.hpp"
+#include "vm/decoded.hpp"
 
 namespace xaas {
 
@@ -297,6 +298,9 @@ DeployedApp build_source_deploy(const container::Image& source_image,
                                      target.to_string())
                      .build();
   result.image_digest = result.image.digest();
+  // Decode once per deployment, as deploy_ir_container does.
+  result.decoded = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::build(result.program));
   result.ok = true;
   return result;
 }

@@ -45,9 +45,9 @@ struct DeployedApp {
   std::string node_name;
   std::vector<std::string> log;           // deployment steps, human-readable
 
-  /// Pre-decoded execution form of `program`, shared across every node
-  /// that received this deployment from the specialization cache; null
-  /// until someone (service::DeployScheduler) decodes it.
+  /// Pre-decoded execution form of `program`, built once by the deploy
+  /// that linked it (null on failed deployments) and shared by every run
+  /// and every node that received this deployment.
   std::shared_ptr<const vm::DecodedProgram> decoded;
 
   /// Execute a workload on the node it was deployed for.

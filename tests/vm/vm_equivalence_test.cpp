@@ -225,6 +225,56 @@ TEST(VmEquivalence, IntrinsicKernels) {
   }
 }
 
+TEST(VmEquivalence, MinMaxSpecialValuePairs) {
+  // Every ordered pair of special values through fmin/fmax (NaN of
+  // either sign on either side, the ±0 tie both ways, infinities) and
+  // fabs/pow2 of each, at every vector width: the decoded machine's
+  // two-lane bodies must pick the same operand, sign and NaN bits as the
+  // reference's scalar ones.
+  const std::string src =
+      "void minmax(double* a, double* b, double* lo, double* hi, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    lo[i] = fmin(a[i], b[i]);\n"
+      "    hi[i] = fmax(a[i], b[i]);\n"
+      "  }\n"
+      "}\n"
+      "void magnitudes(double* a, double* b, double* out, int n) {\n"
+      "  for (int i = 0; i < n; i++) { out[i] = fabs(a[i]) - pow2(b[i]); }\n"
+      "}\n";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {nan, -nan, 0.0, -0.0, 1.0, -1.0, inf, -inf, 2.5};
+  std::vector<double> a, b;
+  for (double x : specials) {
+    for (double y : specials) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  const int n = static_cast<int>(a.size());
+  for (isa::VectorIsa visa : kIsas) {
+    const Program program = compile_program(src, visa);
+    Workload w;
+    w.entry = "minmax";
+    w.f64_buffers["a"] = a;
+    w.f64_buffers["b"] = b;
+    w.f64_buffers["lo"] = std::vector<double>(a.size());
+    w.f64_buffers["hi"] = std::vector<double>(a.size());
+    w.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
+              Workload::Arg::buf_f64("lo"), Workload::Arg::buf_f64("hi"),
+              Workload::Arg::i64(n)};
+    check_program(program, "ault23", w, 1);
+    Workload m;
+    m.entry = "magnitudes";
+    m.f64_buffers["a"] = a;
+    m.f64_buffers["b"] = b;
+    m.f64_buffers["out"] = std::vector<double>(a.size());
+    m.args = {Workload::Arg::buf_f64("a"), Workload::Arg::buf_f64("b"),
+              Workload::Arg::buf_f64("out"), Workload::Arg::i64(n)};
+    check_program(program, "ault23", m, 1);
+  }
+}
+
 TEST(VmEquivalence, AliasedInputOutput) {
   // In-place update (x reads and writes the same buffer) and an
   // out-stream that also feeds a load: the decoded machine must keep the
@@ -386,6 +436,178 @@ TEST(VmEquivalence, IntrinsicTableCoversFrontend) {
   }
   EXPECT_EQ(find_intrinsic("sin"), nullptr);
   EXPECT_EQ(find_intrinsic(""), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Scalar broadcast-on-write. The decoded machine keeps a width-1 result in
+// every lane of the bank it was written through, so a wide instruction
+// reads lane l of any operand directly, while the reference reads lane 0
+// of a scalar. Each kind of scalar producer below feeds wide arithmetic,
+// a wide store and a reduction, at the fixed widths and at a width only
+// the runtime-width body runs; both tiers must agree bit for bit.
+
+using minicc::ir::Inst;
+using minicc::ir::Opcode;
+using minicc::ir::RegType;
+
+Inst ir(Opcode op, int dst, int a = -1, int b = -1, int width = 1) {
+  Inst inst{};
+  inst.op = op;
+  inst.dst = dst;
+  inst.a = a;
+  inst.b = b;
+  inst.width = width;
+  return inst;
+}
+
+enum class Producer {
+  EntryArgument,
+  ScalarLoad,
+  IntrinsicResult,
+  ReduceAdd,
+  CallResult,
+  MovFromVector,
+};
+
+// k(double* buf, double x, long* ibuf, long n) -> double. The float
+// scalar s comes from `producer`; the int scalars are the entry argument
+// n and a scalar load. Both feed width-`width` arithmetic on lanes loaded
+// from the buffers, whose results are stored back and reduced.
+Program broadcast_program(Producer producer, int width) {
+  minicc::ir::Function k;
+  k.name = "k";
+  k.ret_type = RegType::F64;
+  for (RegType t : {RegType::PtrF, RegType::F64, RegType::F64, RegType::I64,
+                    RegType::F64, RegType::F64, RegType::F64, RegType::F64,
+                    RegType::I64, RegType::PtrI, RegType::I64, RegType::I64,
+                    RegType::I64, RegType::I64}) {
+    k.add_reg(t);
+  }
+  k.params = {{RegType::PtrF, "buf", 0},
+              {RegType::F64, "x", 1},
+              {RegType::PtrI, "ibuf", 9},
+              {RegType::I64, "n", 10}};
+  std::vector<Inst> body;
+  Inst zero = ir(Opcode::ConstI, 3);
+  Inst eleven = ir(Opcode::ConstI, 8);
+  eleven.iimm = 11;
+  body = {zero, eleven, ir(Opcode::LoadF, 4, 0, 3, width)};
+  int s = 2;
+  switch (producer) {
+    case Producer::EntryArgument:
+      s = 1;
+      break;
+    case Producer::ScalarLoad:
+      body.push_back(ir(Opcode::LoadF, 2, 0, 8));
+      break;
+    case Producer::IntrinsicResult: {
+      Inst call = ir(Opcode::Call, 2);
+      call.callee = "sqrt";
+      call.args = {1};
+      body.push_back(call);
+      break;
+    }
+    case Producer::ReduceAdd:
+      body.push_back(ir(Opcode::HReduceAdd, 2, 4));
+      break;
+    case Producer::CallResult: {
+      Inst call = ir(Opcode::Call, 2);
+      call.callee = "twice";
+      call.args = {1};
+      body.push_back(call);
+      break;
+    }
+    case Producer::MovFromVector:
+      body.push_back(ir(Opcode::Mov, 2, 4));
+      break;
+  }
+  Inst fma = ir(Opcode::Fma, 6, 5, s, width);
+  fma.c = s;
+  Inst store = ir(Opcode::StoreF, -1, 0, 3, width);
+  store.c = 6;
+  Inst istore = ir(Opcode::StoreI, -1, 9, 3, width);
+  istore.c = 12;
+  for (const Inst& inst :
+       {ir(Opcode::FMul, 5, 4, s, width), fma,
+        ir(Opcode::FSub, 6, 6, s, width), store,
+        ir(Opcode::HReduceAdd, 7, 6), ir(Opcode::FAdd, 7, 7, s),
+        ir(Opcode::LoadI, 11, 9, 3, width), ir(Opcode::LoadI, 13, 9, 8),
+        ir(Opcode::IAdd, 12, 11, 10, width),
+        ir(Opcode::IMul, 12, 12, 13, width), istore,
+        ir(Opcode::Ret, -1, 7)}) {
+    body.push_back(inst);
+  }
+  k.blocks.push_back({"entry", std::move(body)});
+
+  minicc::ir::Function twice;
+  twice.name = "twice";
+  twice.ret_type = RegType::F64;
+  twice.add_reg(RegType::F64);
+  twice.add_reg(RegType::F64);
+  twice.params = {{RegType::F64, "y", 0}};
+  Inst two = ir(Opcode::ConstF, 1);
+  two.fimm = 2.0;
+  twice.blocks.push_back(
+      {"entry", {two, ir(Opcode::FMul, 1, 0, 1), ir(Opcode::Ret, -1, 1)}});
+
+  minicc::MachineModule module;
+  module.code.source_path = "broadcast.ir";
+  module.code.functions = {std::move(k), std::move(twice)};
+  std::vector<minicc::MachineModule> modules;
+  modules.push_back(std::move(module));
+  std::string link_error;
+  Program program = Program::link(std::move(modules), &link_error);
+  EXPECT_TRUE(program.ok()) << link_error;
+  return program;
+}
+
+Workload broadcast_workload(double x) {
+  Workload w;
+  w.entry = "k";
+  w.f64_buffers["buf"] = ramp(16, 0.75, -2.5);
+  auto& ibuf = w.i64_buffers["ibuf"];
+  for (int i = 0; i < 16; ++i) ibuf.push_back(3 * i - 7);
+  w.args = {Workload::Arg::buf_f64("buf"), Workload::Arg::f64(x),
+            Workload::Arg::buf_i64("ibuf"), Workload::Arg::i64(-5)};
+  return w;
+}
+
+TEST(VmEquivalence, ScalarProducersFeedWideInstructions) {
+  for (Producer producer :
+       {Producer::EntryArgument, Producer::ScalarLoad,
+        Producer::IntrinsicResult, Producer::ReduceAdd, Producer::CallResult,
+        Producer::MovFromVector}) {
+    for (int width : {2, 3, 4, 8}) {
+      SCOPED_TRACE("producer=" + std::to_string(static_cast<int>(producer)) +
+                   " width=" + std::to_string(width));
+      const Program program = broadcast_program(producer, width);
+      for (double x : {2.25, -0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        check_program(program, "ault23", broadcast_workload(x), 1);
+      }
+    }
+  }
+}
+
+// A width-1 Mov of a vector register keeps lane 0 only; a following wide
+// instruction must see that lane in every position, not the vector's.
+TEST(VmEquivalence, ScalarMovOfVectorBroadcastsLaneZero) {
+  for (int width : {2, 4, 8}) {
+    const Program program =
+        broadcast_program(Producer::MovFromVector, width);
+    Workload decoded = broadcast_workload(1.0);
+    ExecutorOptions options;
+    const RunResult r = Executor(program, node("ault23"), options).run(decoded);
+    ASSERT_TRUE(r.ok) << r.error;
+    // buf[l] = (buf[l] * s) * s + s - s with s = buf[0] = -2.5.
+    const std::vector<double> in = ramp(16, 0.75, -2.5);
+    const std::vector<double>& out = decoded.f64_buffers["buf"];
+    const double s = in[0];
+    for (std::size_t l = 0; l < static_cast<std::size_t>(width); ++l) {
+      const double expect = (in[l] * s) * s + s - s;
+      EXPECT_EQ(testing::bits(out[l]), testing::bits(expect)) << "lane " << l;
+    }
+    check_program(program, "ault23", broadcast_workload(1.0), 1);
+  }
 }
 
 // ---------------------------------------------------------------------------

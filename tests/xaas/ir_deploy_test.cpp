@@ -4,6 +4,7 @@
 
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
+#include "vm/decoded.hpp"
 #include "xaas/ir_pipeline.hpp"
 #include "xaas/source_container.hpp"
 
@@ -33,6 +34,39 @@ TEST(IrDeploy, DeploysSelectedConfigAndRuns) {
   const auto r = deployed.run(w, 8);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.ret_f64, 0.0);
+}
+
+// A direct deploy decodes once: every run_on of the deployment executes
+// that DecodedProgram instead of decoding its own. The stats hook runs
+// inside Executor::run, while the executor of that call still holds the
+// program it executes, so a second owner of `deployed.decoded` there is
+// the executor itself.
+TEST(IrDeploy, RunsShareOneDecodedProgram) {
+  const auto build = build_lulesh_ir();
+  ASSERT_TRUE(build.ok) << build.error;
+  IrDeployOptions options;
+  options.selections = {{"LULESH_MPI", "OFF"}, {"LULESH_OPENMP", "ON"}};
+  const DeployedApp deployed =
+      deploy_ir_container(build.image, vm::node("ault23"), options);
+  ASSERT_TRUE(deployed.ok) << deployed.error;
+  ASSERT_NE(deployed.decoded, nullptr);
+  const vm::DecodedProgram* decoded = deployed.decoded.get();
+
+  std::vector<long> owners;
+  vm::ExecutorOptions exec_options;
+  exec_options.stats_hook = [&](const vm::RunResult&) {
+    owners.push_back(deployed.decoded.use_count());
+  };
+  vm::Workload w1 = apps::minilulesh_workload(64, 2);
+  vm::Workload w2 = w1;
+  const auto r1 = deployed.run_on(vm::node("ault23"), w1, exec_options);
+  const auto r2 = deployed.run_on(vm::node("ault23"), w2, exec_options);
+  ASSERT_TRUE(r1.ok) << r1.error;
+  ASSERT_TRUE(r2.ok) << r2.error;
+  EXPECT_EQ(r1.instructions, r2.instructions);
+  EXPECT_EQ(owners, (std::vector<long>{2, 2}));
+  EXPECT_EQ(deployed.decoded.get(), decoded);
+  EXPECT_EQ(deployed.decoded.use_count(), 1);
 }
 
 TEST(IrDeploy, AmbiguousSelectionRejected) {

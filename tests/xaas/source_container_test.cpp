@@ -5,6 +5,7 @@
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "common/json.hpp"
+#include "vm/decoded.hpp"
 
 namespace xaas {
 namespace {
@@ -43,6 +44,21 @@ TEST(SourceContainer, DeploysAndRunsOnAult23) {
   const auto r = deployed.run(w, 4);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.ret_f64, 0.0);  // energy conserved positive
+}
+
+TEST(SourceContainer, DeployDecodesOnce) {
+  const Application app = apps::make_minilulesh();
+  const container::Image image = build_source_image(app, isa::Arch::X86_64);
+  const DeployedApp deployed =
+      deploy_source_container(image, app, vm::node("ault23"));
+  ASSERT_TRUE(deployed.ok) << deployed.error;
+  ASSERT_NE(deployed.decoded, nullptr);
+  EXPECT_NE(deployed.decoded->find(app.entry_point), nullptr);
+
+  const DeployedApp failed =
+      deploy_source_container(image, app, vm::node("clariden"));
+  ASSERT_FALSE(failed.ok);
+  EXPECT_EQ(failed.decoded, nullptr);
 }
 
 TEST(SourceContainer, ArchMismatchRejected) {
