@@ -175,55 +175,11 @@ TuCompileResult CompileCache::compile(const common::Vfs& vfs,
   return result;
 }
 
-std::string CompileCache::fast_key(const std::string& source,
-                                   const CompileFlags& flags,
-                                   const TargetSpec& target) {
-  // Ordered defines, like the info key below: effective-define
-  // resolution is last-definition-wins, so order is part of the input.
-  std::string key;
-  for (const auto& d : flags.defines) {
-    key += d;
-    key += '\x1e';
-  }
-  key += '\x1f';
-  for (const auto& dir : flags.include_dirs) {
-    key += dir;
-    key += '\x1e';
-  }
-  key += '\x1f';
-  key += flags.openmp ? "omp" : "noomp";
-  key += '\x1f';
-  key += 'O';
-  key += std::to_string(flags.opt_level);
-  key += '\x1f';
-  key += source;
-  key += '\x1f';
-  key += target.to_string();
-  return key;
-}
-
 TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
                                            const std::string& source,
                                            const CompileFlags& flags,
                                            const TargetSpec& target) {
   TuCompileResult result;
-
-  // Wait-free fast path: a completed successful compile of the same
-  // request tuple is returned from the pinned snapshot without touching
-  // any memo-map mutex (one cache instance serves one source tree, so
-  // path -> content is stable and the tuple determines the output).
-  const std::string request_key = fast_key(source, flags, target);
-  {
-    const auto fast = fast_path_.read();
-    const auto it = fast->find(request_key);
-    if (it != fast->end()) {
-      tu_hits_.fetch_add(1);
-      result = *it->second;
-      result.tu_cache_hit = true;
-      result.disk_hit = false;
-      return result;
-    }
-  }
 
   // The info key must preserve flag ORDER: canonical() sorts, but the
   // effective-define resolution is last-definition-wins, so
@@ -297,8 +253,8 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
         // Persistent tier between the in-memory map and the compiler:
         // only the single-flight leader probes it, so concurrent callers
         // of one key deserialize at most once.
-        if (disk_tier_) {
-          if (auto revived = disk_tier_->load(key)) {
+        if (tier_.load) {
+          if (auto revived = tier_.load(machine_key)) {
             tu_disk_hits_.fetch_add(1);
             entry->machine = std::move(revived);
             entry->ok = true;
@@ -337,8 +293,8 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
   // so waiters for this TU are never blocked on serialization and disk
   // I/O (mirrors the spec cache). Only successes go to disk: failures
   // are cheap to rediscover and a persisted one could outlive its bug.
-  if (!hit && disk_tier_ && machine->ok && !machine->from_disk) {
-    disk_tier_->store(key, *machine->machine);
+  if (!hit && tier_.store && machine->ok && !machine->from_disk) {
+    tier_.store(machine_key, *machine->machine);
   }
   if (hit) tu_hits_.fetch_add(1);
   // Set before the failure return so a *cached failed* module still
@@ -351,15 +307,6 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
   }
   result.machine = machine->machine;
   result.ok = true;
-  // Publish the success into the lock-free tier so subsequent requests
-  // of this exact tuple skip the memo maps entirely. Stored with the
-  // hit/disk flags cleared — a fast-path hit sets its own.
-  auto stored = std::make_shared<TuCompileResult>(result);
-  stored->tu_cache_hit = false;
-  stored->disk_hit = false;
-  fast_path_.update([&](FastMap& map) {
-    map[request_key] = std::move(stored);
-  });
   return result;
 }
 

@@ -21,17 +21,15 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/rcu.hpp"
+#include "common/single_flight.hpp"
 #include "common/vfs.hpp"
 #include "minicc/driver.hpp"
 #include "minicc/lower.hpp"
@@ -138,22 +136,6 @@ struct TuCompileResult {
   bool disk_hit = false;
 };
 
-/// Optional persistent second tier under the in-memory TU cache: the
-/// serving layer's ArtifactStore adapters implement this. load() returns
-/// a module previously persisted under the key (or null), store()
-/// persists a successfully compiled one. Implementations must be safe to
-/// call from any thread and must never throw (a failing disk tier
-/// degrades to a miss/compile). Only the elected single-flight builder
-/// consults this tier, so an implementation may stack further levels
-/// beneath the local disk (the serving layer's TuDistributionTier pulls
-/// missing TUs from remote registry peers here).
-class TuDiskTier {
-public:
-  virtual ~TuDiskTier() = default;
-  virtual std::shared_ptr<const MachineModule> load(const TuKey& key) = 0;
-  virtual void store(const TuKey& key, const MachineModule& machine) = 0;
-};
-
 /// Thread-safe single-flight compile cache. One instance serves one
 /// source tree (scan and preprocess keys assume path -> content is
 /// stable); the build farm keeps one per source-image digest.
@@ -189,12 +171,20 @@ public:
   /// compile(): set it once, before the cache starts serving.
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
-  /// Attach (or detach, with nullptr) the persistent tier consulted on
-  /// in-memory misses (memory hit → disk hit → compile; the single-flight
-  /// election spans tiers). The tier must outlive the cache. NOT
+  /// Persistent tier consulted on in-memory misses (memory hit → tier
+  /// hit → compile; only the single-flight leader consults it). minicc
+  /// stays service-agnostic: the serving layer binds its ArtifactTier
+  /// and the TU codec into these two calls, keyed by TuKey::to_string().
+  /// `load` returns null on a miss; `store` persists a freshly compiled
+  /// module. Both must be safe from any thread and never throw. NOT
   /// thread-safe with respect to concurrent compile(): set it once,
   /// before the cache starts serving.
-  void set_disk_tier(TuDiskTier* tier) { disk_tier_ = tier; }
+  struct Tier {
+    std::function<std::shared_ptr<const MachineModule>(const std::string&)>
+        load;
+    std::function<void(const std::string&, const MachineModule&)> store;
+  };
+  void set_tier(Tier tier) { tier_ = std::move(tier); }
 
   /// Failure-injection hook, consulted by the single-flight leader before
   /// resolving a machine module: a returned string fails that resolution
@@ -233,71 +223,6 @@ private:
                                const CompileFlags& flags,
                                const TargetSpec& target);
 
-  /// Request-level fast-path key: (ordered defines, include dirs, openmp,
-  /// source, opt level, target) fully determine the compile output for
-  /// one source tree, so a completed successful result can be served
-  /// before any scan/preprocess/memo-map work happens.
-  static std::string fast_key(const std::string& source,
-                              const CompileFlags& flags,
-                              const TargetSpec& target);
-
-  /// Single-flight memo map: the first requester of a key runs `compute`,
-  /// concurrent requesters block on its shared_future. Entries are only
-  /// ever evicted by erase() — compiles are deterministic, so genuine
-  /// compile failures cache too; only injected/transient failures (see
-  /// set_fault_hook) are erased.
-  template <typename V>
-  class SingleFlightMap {
-  public:
-    std::shared_ptr<const V> get_or_compute(
-        const std::string& key,
-        const std::function<std::shared_ptr<const V>()>& compute,
-        bool* hit = nullptr) {
-      std::shared_future<std::shared_ptr<const V>> future;
-      std::promise<std::shared_ptr<const V>> promise;
-      bool leader = false;
-      {
-        std::lock_guard lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end()) {
-          future = it->second;
-        } else {
-          future = promise.get_future().share();
-          entries_.emplace(key, future);
-          leader = true;
-        }
-      }
-      if (!leader) {
-        if (hit) *hit = true;
-        return future.get();
-      }
-      if (hit) *hit = false;
-      try {
-        promise.set_value(compute());
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-      return future.get();
-    }
-
-    /// Drop the entry for `key`, if any. Used for transient-failure
-    /// poisoning control: the leader erases its own entry *before* the
-    /// failure is published, so no later requester can observe it as a
-    /// hit — waiters already blocked on the future still receive the
-    /// failure (and retry one level up), new requesters elect a fresh
-    /// leader.
-    void erase(const std::string& key) {
-      std::lock_guard lock(mutex_);
-      entries_.erase(key);
-    }
-
-  private:
-    std::mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const V>>>
-        entries_;
-  };
-
   struct PpEntry {
     bool ok = false;
     std::string error;
@@ -315,24 +240,19 @@ private:
     bool from_disk = false;
   };
 
-  Observer observer_;  // set once before serving; called after each compile
-  TuDiskTier* disk_tier_ = nullptr;  // set once before serving
-  FaultHook fault_hook_;             // set once before serving
+  Observer observer_;      // set once before serving; called after each compile
+  Tier tier_;              // set once before serving
+  FaultHook fault_hook_;   // set once before serving
 
-  // Lock-free hit tier in front of the memo maps: completed *successful*
-  // compiles keyed by fast_key(). Readers pin an RCU snapshot and probe
-  // without any mutex; the slow path publishes after resolution. Failures
-  // (deterministic or transient) never enter — they keep their existing
-  // machines_-map semantics exactly.
-  using FastMap =
-      std::unordered_map<std::string, std::shared_ptr<const TuCompileResult>>;
-  common::rcu::Snapshot<FastMap> fast_path_;
-
-  SingleFlightMap<TargetFlagInfo> infos_;   // flags.canonical()
-  SingleFlightMap<SourceScan> scans_;       // source + dirs_suffix
-  SingleFlightMap<PpEntry> pps_;            // preprocess_key(...)
-  SingleFlightMap<ParseEntry> parses_;      // pp hash
-  SingleFlightMap<MachineEntry> machines_;  // TuKey::to_string()
+  // Every memo level is single-flight. Entries are only ever evicted by
+  // erase(): compiles are deterministic, so genuine compile failures
+  // cache too; only injected/transient failures (see set_fault_hook) are
+  // erased, before publication.
+  common::SingleFlightMap<TargetFlagInfo> infos_;   // ordered flags
+  common::SingleFlightMap<SourceScan> scans_;       // source + dirs_suffix
+  common::SingleFlightMap<PpEntry> pps_;            // preprocess_key(...)
+  common::SingleFlightMap<ParseEntry> parses_;      // pp hash
+  common::SingleFlightMap<MachineEntry> machines_;  // TuKey::to_string()
 
   std::atomic<std::size_t> preprocess_runs_{0};
   std::atomic<std::size_t> tu_compiles_{0};

@@ -594,55 +594,37 @@ std::shared_ptr<const DeployedApp> deployed_app_from_json(
   return app;
 }
 
-// ---- Cache tier adapters -------------------------------------------------
+// ---- Codecs ----------------------------------------------------------------
 
-std::shared_ptr<const DeployedApp> SpecArtifactTier::load(const SpecKey& key) {
-  const std::string composite = key.to_string();
-  const auto payload = store_.get(kSpecArtifactKind, composite);
-  if (!payload) return nullptr;
+std::string encode_deployed_app(const DeployedApp& app) {
+  return deployed_app_to_json(app).dump();
+}
+
+std::shared_ptr<const DeployedApp> decode_deployed_app(
+    std::string_view payload) {
   std::string error;
-  std::shared_ptr<const DeployedApp> app;
   try {
-    app = deployed_app_from_json(Json::parse(*payload), &error);
+    return deployed_app_from_json(Json::parse(payload), &error);
   } catch (const common::JsonError&) {
-    app = nullptr;
-  }
-  if (!app) {
-    // Hash-valid payload that no longer deserializes (format drift or a
-    // serializer bug): drop it so the next request rebuilds cleanly.
-    store_.note_corrupt(kSpecArtifactKind, composite);
     return nullptr;
   }
-  return app;
 }
 
-void SpecArtifactTier::store(const SpecKey& key, const DeployedApp& app) {
-  if (!app.ok) return;
-  store_.put(kSpecArtifactKind, key.to_string(), deployed_app_to_json(app).dump());
+std::string encode_machine_module(const minicc::MachineModule& machine) {
+  return machine_module_to_json(machine).dump();
 }
 
-std::shared_ptr<const minicc::MachineModule> TuArtifactTier::load(
-    const minicc::TuKey& key) {
-  const std::string composite = key.to_string();
-  const auto payload = store_.get(kTuArtifactKind, composite);
-  if (!payload) return nullptr;
+std::shared_ptr<const minicc::MachineModule> decode_machine_module(
+    std::string_view payload) {
   std::string error;
   std::optional<minicc::MachineModule> machine;
   try {
-    machine = machine_module_from_json(Json::parse(*payload), &error);
+    machine = machine_module_from_json(Json::parse(payload), &error);
   } catch (const common::JsonError&) {
-    machine = std::nullopt;
-  }
-  if (!machine) {
-    store_.note_corrupt(kTuArtifactKind, composite);
     return nullptr;
   }
+  if (!machine) return nullptr;
   return std::make_shared<const minicc::MachineModule>(std::move(*machine));
-}
-
-void TuArtifactTier::store(const minicc::TuKey& key,
-                           const minicc::MachineModule& machine) {
-  store_.put(kTuArtifactKind, key.to_string(), machine_module_to_json(machine).dump());
 }
 
 }  // namespace xaas::service

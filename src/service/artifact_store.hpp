@@ -37,8 +37,9 @@
 #include <string_view>
 #include <vector>
 
-#include "minicc/compile_cache.hpp"
-#include "service/spec_cache.hpp"
+#include "common/json.hpp"
+#include "minicc/lower.hpp"
+#include "xaas/source_container.hpp"
 
 namespace xaas::service {
 
@@ -71,8 +72,8 @@ struct ArtifactStoreOptions {
 /// evicted underneath a reader degrades to a miss. set_observer() must
 /// be called before the store starts serving.
 /// Ownership: typically owned by the Gateway (or a test/bench) and
-/// borrowed by the SpecArtifactTier / TuArtifactTier adapters installed
-/// on the caches; must outlive every cache it backs.
+/// borrowed by the ArtifactTiers (service/distribution.hpp) installed on
+/// the caches; must outlive every cache it backs.
 class ArtifactStore {
 public:
   /// One telemetry event per store operation of interest.
@@ -247,44 +248,13 @@ common::Json deployed_app_to_json(const DeployedApp& app);
 std::shared_ptr<const DeployedApp> deployed_app_from_json(
     const common::Json& doc, std::string* error);
 
-// ---- Cache tier adapters -------------------------------------------------
-
-/// SpecializationCache disk tier over an ArtifactStore (kind "spec",
-/// keyed by SpecKey::to_string()).
-///
-/// Thread-safety: load()/store() are safe from any thread (the store
-/// serializes). Ownership: borrows the ArtifactStore, which must outlive
-/// the adapter; owned by the service (farm/scheduler) whose cache it
-/// backs.
-class SpecArtifactTier : public SpecDiskTier {
-public:
-  explicit SpecArtifactTier(ArtifactStore& store) : store_(store) {}
-
-  std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
-  void store(const SpecKey& key, const DeployedApp& app) override;
-
-private:
-  ArtifactStore& store_;
-};
-
-/// CompileCache disk tier over an ArtifactStore (kind "tu", keyed by
-/// TuKey::to_string()). TU artifacts are image-independent — the key's
-/// post-preprocess hash pins the content — so deployments of different
-/// source images share persisted TUs too.
-///
-/// Thread-safety / ownership: as SpecArtifactTier; one adapter serves
-/// every per-image CompileCache of a BuildFarm.
-class TuArtifactTier : public minicc::TuDiskTier {
-public:
-  explicit TuArtifactTier(ArtifactStore& store) : store_(store) {}
-
-  std::shared_ptr<const minicc::MachineModule> load(
-      const minicc::TuKey& key) override;
-  void store(const minicc::TuKey& key,
-             const minicc::MachineModule& machine) override;
-
-private:
-  ArtifactStore& store_;
-};
+/// The codecs of the two cached kinds (one per kind): exactly the bytes
+/// an ArtifactTier persists and pulls. decode_* return null for a
+/// payload that is not valid JSON or does not reconstruct.
+std::string encode_deployed_app(const DeployedApp& app);
+std::shared_ptr<const DeployedApp> decode_deployed_app(std::string_view payload);
+std::string encode_machine_module(const minicc::MachineModule& machine);
+std::shared_ptr<const minicc::MachineModule> decode_machine_module(
+    std::string_view payload);
 
 }  // namespace xaas::service

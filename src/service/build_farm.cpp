@@ -1,28 +1,21 @@
 #include "service/build_farm.hpp"
 
 #include "common/hashing.hpp"
-#include "service/distribution.hpp"
 #include "service/fault.hpp"
 
 namespace xaas::service {
 
 BuildFarm::BuildFarm(ShardedRegistry& registry, BuildFarmOptions options)
-    : registry_(registry),
-      options_(options),
-      cache_(options.cache_shards),
-      pool_(options.threads) {
-  if (options_.distribution) {
-    // Remote-registry level under both cache granularities: the elected
-    // builder pulls whole deployments and individual TUs from ring
-    // peers before compiling anything.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution);
-    tu_tier_ = std::make_unique<TuDistributionTier>(*options_.distribution);
-    cache_.set_disk_tier(spec_tier_.get());
-  } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store);
-    tu_tier_ = std::make_unique<TuArtifactTier>(*options_.artifact_store);
-    cache_.set_disk_tier(spec_tier_.get());
-  }
+    : registry_(registry), options_(options), pool_(options.threads) {
+  // With a peer, both cache granularities get a remote-registry level:
+  // the elected builder pulls whole deployments and individual TUs from
+  // ring peers before compiling anything.
+  DistributionPeer* peer = options_.distribution;
+  ArtifactStore* store = peer ? &peer->store() : options_.artifact_store;
+  if (!store) return;
+  spec_tier_.emplace(*store, kSpecArtifactKind, peer, /*gossip=*/true);
+  tu_tier_.emplace(*store, kTuArtifactKind, peer, /*gossip=*/false);
+  cache_.set_tier(&*spec_tier_);
 }
 
 void BuildFarm::set_tu_observer(minicc::CompileCache::Observer observer) {
@@ -51,7 +44,16 @@ std::shared_ptr<const BuildFarm::ImageState> BuildFarm::state_for(
     if (tu_observer) state->tu_cache->set_observer(std::move(tu_observer));
     // TU keys are image-independent (post-preprocess hash pins the
     // content), so every per-image cache shares one persistent tier.
-    if (tu_tier_) state->tu_cache->set_disk_tier(tu_tier_.get());
+    if (tu_tier_) {
+      ArtifactTier* tier = &*tu_tier_;
+      state->tu_cache->set_tier(
+          {[tier](const std::string& key) {
+             return tier->load(key, decode_machine_module);
+           },
+           [tier](const std::string& key, const minicc::MachineModule& m) {
+             tier->store(key, encode_machine_module(m));
+           }});
+    }
     // minicc cannot depend on the serving layer, so the fault plan is
     // bridged in via the cache's generic hook: flaky TU builds keyed by
     // source path (the k-th build attempt of one TU fails or not,

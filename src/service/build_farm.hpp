@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "minicc/compile_cache.hpp"
 #include "service/artifact_store.hpp"
 #include "service/deploy_scheduler.hpp"
+#include "service/distribution.hpp"
 #include "service/sharded_registry.hpp"
 #include "service/spec_cache.hpp"
 
@@ -45,8 +47,6 @@ struct SourceDeployRequest {
 struct BuildFarmOptions {
   /// Worker threads for build fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Shards of the whole-deployment cache.
-  std::size_t cache_shards = 16;
   /// Persistent tier: when non-null, whole deployments and compiled TUs
   /// are persisted to (and revived from) this store, so a fresh farm
   /// pointed at a populated directory warm-starts with zero compiles.
@@ -123,11 +123,11 @@ private:
   ShardedRegistry& registry_;
   BuildFarmOptions options_;
   SpecializationCache cache_;
-  // Adapters over options_.artifact_store (null when no store): installed
-  // on cache_ and on every per-image TU cache the farm creates. With
-  // options_.distribution set these are the *DistributionTier variants.
-  std::unique_ptr<SpecDiskTier> spec_tier_;
-  std::unique_ptr<minicc::TuDiskTier> tu_tier_;
+  // Tiers over the artifact store (empty when there is none): spec_tier_
+  // is installed on cache_, tu_tier_ on every per-image TU cache the
+  // farm creates. With options_.distribution set they front the peer.
+  std::optional<ArtifactTier> spec_tier_;
+  std::optional<ArtifactTier> tu_tier_;
 
   mutable std::mutex states_mutex_;
   std::map<std::string, std::shared_ptr<const ImageState>> states_;

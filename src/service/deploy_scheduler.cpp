@@ -2,17 +2,13 @@
 
 #include "common/hashing.hpp"
 #include "service/build_farm.hpp"
-#include "service/distribution.hpp"
 #include "service/fault.hpp"
 
 namespace xaas::service {
 
 DeployScheduler::DeployScheduler(ShardedRegistry& registry,
                                  DeploySchedulerOptions options)
-    : registry_(registry),
-      options_(options),
-      cache_(options.cache_shards),
-      pool_(options.threads) {
+    : registry_(registry), options_(options), pool_(options.threads) {
   attach_artifact_store();
 }
 
@@ -20,23 +16,19 @@ DeployScheduler::DeployScheduler(ShardedRegistry& registry, BuildFarm& farm,
                                  DeploySchedulerOptions options)
     : registry_(registry),
       options_(options),
-      cache_(options.cache_shards),
       farm_(&farm),
       pool_(options.threads) {
   attach_artifact_store();
 }
 
 void DeployScheduler::attach_artifact_store() {
-  if (options_.distribution) {
-    // Remote-registry level under the disk tier: the single-flight
-    // leader pulls from ring peers before paying a lowering.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution);
-  } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store);
-  } else {
-    return;
-  }
-  cache_.set_disk_tier(spec_tier_.get());
+  // With a peer, the single-flight leader pulls from ring peers before
+  // paying a lowering (the remote-registry level under the store).
+  DistributionPeer* peer = options_.distribution;
+  ArtifactStore* store = peer ? &peer->store() : options_.artifact_store;
+  if (!store) return;
+  spec_tier_.emplace(*store, kSpecArtifactKind, peer, /*gossip=*/true);
+  cache_.set_tier(&*spec_tier_);
 }
 
 vm::RunResult FleetDeployResult::run(vm::Workload& workload,

@@ -15,11 +15,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "service/artifact_store.hpp"
+#include "service/distribution.hpp"
 #include "service/reliability.hpp"
 #include "service/sharded_registry.hpp"
 #include "service/spec_cache.hpp"
@@ -29,7 +31,6 @@
 namespace xaas::service {
 
 class BuildFarm;
-class DistributionPeer;
 
 struct FleetDeployRequest {
   vm::NodeSpec node;
@@ -114,8 +115,6 @@ inline std::vector<FleetDeployResult> collect_deploys(
 struct DeploySchedulerOptions {
   /// Worker threads for deploy fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Shards of the specialization cache.
-  std::size_t cache_shards = 16;
   /// Persistent tier: when non-null, lowered specializations persist to
   /// (and revive from) this store across scheduler lifetimes. Borrowed —
   /// the store must outlive the scheduler.
@@ -181,15 +180,15 @@ private:
   std::shared_ptr<const IrImageManifest> manifest_for(
       const std::string& digest, const container::Image& image);
 
-  /// Install the persistent-tier adapter when options name a store.
+  /// Install the artifact tier when options name a store or a peer.
   void attach_artifact_store();
 
   ShardedRegistry& registry_;
   DeploySchedulerOptions options_;
   SpecializationCache cache_;
-  // Adapter over options_.artifact_store (null when no store); a
-  // SpecDistributionTier when options_.distribution is set.
-  std::unique_ptr<SpecDiskTier> spec_tier_;
+  // Tier over the artifact store (empty when there is none); it fronts
+  // options_.distribution when that is set.
+  std::optional<ArtifactTier> spec_tier_;
   BuildFarm* farm_ = nullptr;  // source-kind routing; may be null
 
   std::mutex manifests_mutex_;

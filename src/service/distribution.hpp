@@ -302,7 +302,7 @@ public:
   PushResult push_full(DistributionPeer& target);
 
   /// Lazy pull: make blob_digest(kind, key) local, fetching it from the
-  /// first ring peer that can serve it. Called by the tier adapters
+  /// first ring peer that can serve it. Called by ArtifactTier
   /// below under the caches' single-flight, so one elected leader per
   /// key fetches while the rest wait. A rejected (corrupt-in-flight)
   /// envelope is retried from the next peer. Returns true when the blob
@@ -310,9 +310,9 @@ public:
   bool ensure_local(std::string_view kind, std::string_view key);
 
   /// Mark a digest hot: it joins this peer's gossip advertisements once
-  /// it is present locally. The spec tier announces on every store
-  /// (finished specializations are what the fleet re-requests); TU
-  /// intermediates are never announced — they replicate on demand.
+  /// it is present locally. The spec tier (ArtifactTier with gossip
+  /// on) announces on every store; TU intermediates are never
+  /// announced — they replicate on demand.
   void announce(std::string_view kind, std::string_view key);
 
   /// One gossip round: advertise (up to) the whole hot set to
@@ -348,45 +348,67 @@ private:
   std::atomic<std::uint64_t> verify_rejects_{0};
 };
 
-// ---- Remote cache tiers ---------------------------------------------------
+// ---- Cache tier -----------------------------------------------------------
 //
-// The fourth cache level (memory → disk → remote registry → build): each
-// adapter fronts the local disk tier and, on a load, first asks the peer
-// to ensure the blob is local (a no-op when it already is). Because the
-// caches consult their disk tier only from the elected single-flight
-// leader, exactly one remote fetch happens per cold key per node.
+// The levels under a cache's memory map (memory → store → remote registry
+// → build). The caches consult their tier only from the elected
+// single-flight leader, so exactly one store read — and, with a peer,
+// at most one remote fetch — happens per cold key per node.
 
-/// SpecDiskTier with a remote-registry level under the local store.
-class SpecDistributionTier : public SpecDiskTier {
+/// One kind's persisted artifacts under a cache: the local ArtifactStore,
+/// optionally fronted by a DistributionPeer that pulls a missing blob
+/// from ring peers first. The tier moves bytes; each kind has one codec
+/// (encode_*/decode_* in service/artifact_store.hpp), and load() applies
+/// the one corruption rule: a payload that passed the store's hash check
+/// but does not decode is dropped through note_corrupt() and reported as
+/// a miss, so the caller rebuilds and never serves it.
+///
+/// `gossip` announces every stored blob for pre-warming. It is on for
+/// whole deployments (finished specializations are what the fleet
+/// re-requests) and off for TUs: TU blobs are build intermediates, and
+/// gossiping them would replicate the whole store ring-wide — the naive
+/// full-replication cost the protocol exists to avoid. A peer that needs
+/// a TU lazy-pulls it, and delta pushes still dedup TUs per blob.
+///
+/// Thread-safety: load()/store() are safe from any thread and never
+/// throw on I/O failure (a failing tier degrades to a miss). Ownership:
+/// borrows the store and the peer (which must front that same store);
+/// both must outlive the tier. Owned by the service whose caches it
+/// backs (DeployScheduler, BuildFarm).
+class ArtifactTier {
 public:
-  explicit SpecDistributionTier(DistributionPeer& peer)
-      : peer_(peer), local_(peer.store()) {}
+  ArtifactTier(ArtifactStore& store, std::string_view kind,
+               DistributionPeer* peer, bool gossip)
+      : store_(store), kind_(kind), peer_(peer), gossip_(gossip) {}
 
-  std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
-  void store(const SpecKey& key, const DeployedApp& app) override;
+  /// The value persisted under `key`, decoded, or null on a miss.
+  /// `decode` returns null for a payload it cannot decode.
+  template <typename T>
+  std::shared_ptr<const T> load(
+      const std::string& key,
+      std::shared_ptr<const T> (*decode)(std::string_view)) {
+    const auto payload = fetch(key);
+    if (!payload) return nullptr;
+    auto value = decode(*payload);
+    // Hash-valid payload that no longer decodes (format drift or a
+    // serializer bug): drop it so the next request rebuilds cleanly.
+    if (!value) store_.note_corrupt(kind_, key);
+    return value;
+  }
+
+  /// Persist an encoded value under `key` (and announce it when gossip
+  /// is on).
+  void store(const std::string& key, std::string_view payload);
 
 private:
-  DistributionPeer& peer_;
-  SpecArtifactTier local_;
-};
+  /// Make the blob local (one remote fetch when a peer is set and the
+  /// store lacks it), then read it from the store.
+  std::optional<std::string> fetch(const std::string& key);
 
-/// TuDiskTier with a remote-registry level under the local store. Unlike
-/// the spec tier, stores are NOT announced to gossip: TU blobs travel
-/// only by lazy pull and delta push, so pre-warming stays proportional
-/// to the hot-class working set, not the whole build cache.
-class TuDistributionTier : public minicc::TuDiskTier {
-public:
-  explicit TuDistributionTier(DistributionPeer& peer)
-      : peer_(peer), local_(peer.store()) {}
-
-  std::shared_ptr<const minicc::MachineModule> load(
-      const minicc::TuKey& key) override;
-  void store(const minicc::TuKey& key,
-             const minicc::MachineModule& machine) override;
-
-private:
-  DistributionPeer& peer_;
-  TuArtifactTier local_;
+  ArtifactStore& store_;
+  std::string kind_;
+  DistributionPeer* peer_;
+  bool gossip_;
 };
 
 }  // namespace xaas::service

@@ -90,7 +90,6 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
                                                : options_.distribution_name,
             *artifact_store_, *options_.distribution);
       }()),
-      registry_(options_.registry_shards),
       farm_(registry_,
             [&] {
               // The gateway's workers carry the fan-out; an inner pool at

@@ -136,8 +136,6 @@ struct GatewayOptions {
   /// the future immediately with an error.
   std::size_t max_queue = 256;
   bool reject_on_full = false;
-  /// Shards of the owned registry.
-  std::size_t registry_shards = 16;
   /// Persistent artifact store directory. When non-empty the gateway
   /// owns an ArtifactStore rooted there and installs it as the disk tier
   /// under both specialization caches and the farm's TU caches — a

@@ -36,10 +36,7 @@ namespace xaas::service {
 /// images remain valid after the registry drops or replaces them.
 class ShardedRegistry {
 public:
-  /// `shard_count` is kept for API compatibility with the lock-sharded
-  /// implementation; it only sizes shard_count() reporting. Reads are
-  /// wait-free regardless.
-  explicit ShardedRegistry(std::size_t shard_count = 16);
+  ShardedRegistry() = default;
 
   ShardedRegistry(const ShardedRegistry&) = delete;
   ShardedRegistry& operator=(const ShardedRegistry&) = delete;
@@ -77,7 +74,6 @@ public:
       const std::string& arch) const;
 
   std::size_t image_count() const;
-  std::size_t shard_count() const { return shard_count_; }
 
 private:
   struct State {
@@ -93,7 +89,6 @@ private:
         by_ref;  // reference -> blob (always tags composed with images)
   };
 
-  std::size_t shard_count_;
   common::rcu::Snapshot<State> state_;
 };
 

@@ -102,10 +102,16 @@ TEST(RcuStress, ReadersNeverObserveReclaimedVersion) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<unsigned> exited{0};
   std::vector<std::thread> readers;
   const unsigned reader_count = 4;
   for (unsigned r = 0; r < reader_count; ++r) {
     readers.emplace_back([&] {
+      // Counted on every exit, a failed ASSERT's early return included.
+      struct ExitCount {
+        std::atomic<unsigned>& n;
+        ~ExitCount() { n.fetch_add(1); }
+      } exit_count{exited};
       while (!stop.load(std::memory_order_acquire)) {
         const auto ref = snap.read();
         ASSERT_EQ(ref->b, ref->a * 2 + 1);
@@ -113,6 +119,11 @@ TEST(RcuStress, ReadersNeverObserveReclaimedVersion) {
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
+  }
+  // Start swapping only once a reader is running: on a loaded machine
+  // the 400 swaps can otherwise finish before any reader is scheduled.
+  while (reads.load() == 0 && exited.load() < reader_count) {
+    std::this_thread::yield();
   }
   for (std::uint64_t i = 1; i <= 400; ++i) {
     snap.update([i](Payload& p) {

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "apps/minimd.hpp"
+#include "common/json.hpp"
 #include "service/build_farm.hpp"
+#include "service/distribution.hpp"
 #include "service/fault.hpp"
 
 namespace xaas::service {
@@ -451,6 +453,116 @@ TEST(ArtifactStore, CorruptedStoreRecompilesNeverServesWrongImage) {
   EXPECT_EQ(warm.cache().lowerings(), 1u);
   EXPECT_GT(store.verify_failures(), 0u);
   EXPECT_EQ(warm.cache().disk_hits(), 0u);
+}
+
+// ---- The one tier: hash-valid but undecodable blobs ----------------------
+
+/// Every (kind, key) persisted in the store, read from the blob headers.
+std::vector<std::pair<std::string, std::string>> persisted_keys(
+    const fs::path& dir) {
+  std::vector<std::pair<std::string, std::string>> keys;
+  for (const auto& entry : fs::recursive_directory_iterator(dir / "objects")) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string header;
+    std::getline(in, header);
+    const auto doc = common::Json::parse(header);
+    keys.emplace_back(doc.get_string("kind"), doc.get_string("key"));
+  }
+  return keys;
+}
+
+TEST(ArtifactTier, UndecodablePayloadIsDroppedAsCorruptOnBothKinds) {
+  TempDir dir("tier-undecodable");
+  ArtifactStore store({dir.str(), 0});
+  ArtifactTier spec(store, kSpecArtifactKind, nullptr, /*gossip=*/true);
+  ArtifactTier tu(store, kTuArtifactKind, nullptr, /*gossip=*/false);
+
+  // Both payloads pass the store's sha256 check (put() hashed them), but
+  // neither decodes: one is not JSON, the other is JSON of the wrong shape.
+  spec.store("spec-key", "not json at all");
+  tu.store("tu-key", "{\"ir\": 7}");
+  ASSERT_EQ(store.entry_count(), 2u);
+
+  EXPECT_EQ(spec.load("spec-key", decode_deployed_app), nullptr);
+  EXPECT_EQ(store.verify_failures(), 1u);
+  EXPECT_EQ(tu.load("tu-key", decode_machine_module), nullptr);
+  EXPECT_EQ(store.verify_failures(), 2u);
+
+  // Dropped, not kept around to fail again: the next load is a plain miss.
+  EXPECT_EQ(store.entry_count(), 0u);
+  EXPECT_FALSE(fs::exists(blob_file(dir.str(), "spec", "spec-key")));
+  EXPECT_FALSE(fs::exists(blob_file(dir.str(), "tu", "tu-key")));
+  EXPECT_EQ(spec.load("spec-key", decode_deployed_app), nullptr);
+  EXPECT_EQ(store.verify_failures(), 2u);
+}
+
+TEST(ArtifactTier, UndecodableBlobsUnderTheFarmAreRebuiltNeverServed) {
+  TempDir dir("tier-rebuild");
+  const auto image = small_minimd_image();
+  ShardedRegistry registry;
+  registry.push(image, "spcl/minimd:src");
+  const auto request = [&] {
+    std::vector<SourceDeployRequest> requests;
+    requests.push_back({vm::node("ault23"), "spcl/minimd:src",
+                        explicit_selection("AVX_512", "fftw3")});
+    return requests;
+  };
+
+  std::string reference_digest;
+  std::size_t cold_compiles = 0;
+  {
+    ArtifactStore store({dir.str(), 0});
+    BuildFarmOptions farm_options;
+    farm_options.artifact_store = &store;
+    BuildFarm cold(registry, farm_options);
+    const auto results = cold.deploy_batch(request());
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    reference_digest = results[0].app->image_digest;
+    cold_compiles = cold.tu_compiles();
+    ASSERT_GT(cold_compiles, 0u);
+  }
+
+  // Replace every persisted spec and TU payload with hash-valid garbage.
+  std::size_t spec_blobs = 0;
+  std::size_t tu_blobs = 0;
+  {
+    ArtifactStore store({dir.str(), 0});
+    for (const auto& [kind, key] : persisted_keys(dir.path())) {
+      ASSERT_TRUE(store.put(kind, key, "{\"garbage\": true}"));
+      (kind == kSpecArtifactKind ? spec_blobs : tu_blobs) += 1;
+    }
+  }
+  ASSERT_EQ(spec_blobs, 1u);
+  ASSERT_EQ(tu_blobs, cold_compiles);
+
+  {
+    ArtifactStore store({dir.str(), 0});
+    BuildFarmOptions farm_options;
+    farm_options.artifact_store = &store;
+    BuildFarm warm(registry, farm_options);
+    const auto results = warm.deploy_batch(request());
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].app->image_digest, reference_digest);
+    // Every garbage blob cost a rebuild, none was served.
+    EXPECT_EQ(warm.cache().disk_hits(), 0u);
+    EXPECT_EQ(warm.cache().lowerings(), 1u);
+    EXPECT_EQ(warm.tu_disk_hits(), 0u);
+    EXPECT_EQ(warm.tu_compiles(), cold_compiles);
+    EXPECT_EQ(store.verify_failures(), spec_blobs + tu_blobs);
+  }
+
+  // The rebuild persisted good blobs again: a fresh farm revives them.
+  ArtifactStore store({dir.str(), 0});
+  BuildFarmOptions farm_options;
+  farm_options.artifact_store = &store;
+  BuildFarm revived(registry, farm_options);
+  const auto results = revived.deploy_batch(request());
+  ASSERT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_EQ(results[0].app->image_digest, reference_digest);
+  EXPECT_EQ(revived.cache().disk_hits(), 1u);
+  EXPECT_EQ(revived.cache().lowerings(), 0u);
+  EXPECT_EQ(store.verify_failures(), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "apps/workloads.hpp"
+#include "service/fault.hpp"
 #include "vm/decoded.hpp"
 #include "xaas/ir_pipeline.hpp"
 
@@ -203,6 +209,80 @@ TEST(DeployScheduler, ErrorsPropagateAndAreNotCached) {
   const auto bm = scheduler.deploy(bad_march);
   EXPECT_FALSE(bm.ok);
   EXPECT_NE(bm.error.find("not executable"), std::string::npos);
+}
+
+// A deployer that throws (rather than returning a failed deployment):
+// its own caller sees the exception, every request waiting on its round
+// gets a transient DeployFailed, and nothing is cached — the next
+// request lowers again.
+TEST(DeployScheduler, ThrowingDeployerFailsWaitersTransientlyAndIsNotCached) {
+  const auto build = build_lulesh_ir();
+  ASSERT_TRUE(build.ok) << build.error;
+  ShardedRegistry registry;
+  registry.push(build.image, "spcl/lulesh:ir");
+  DeployScheduler scheduler(registry);
+
+  // Parse the manifest once up front (a plan failure lowers nothing), so
+  // every request below reaches the cache quickly.
+  IrDeployOptions ambiguous;
+  ambiguous.selections = {{"LULESH_MPI", "OFF"}};
+  ASSERT_FALSE(
+      scheduler.deploy({vm::node("ault23"), "spcl/lulesh:ir", ambiguous}).ok);
+
+  constexpr int kRequests = 4;
+  std::atomic<int> started{0};
+  {
+    // Every lowering fault "fires", and the plan's observer turns it into
+    // an exception thrown out of the deployer. The leader holds until
+    // every request has started, so the others join its round.
+    fault::FaultPlan plan(1);
+    plan.set_probability(fault::kIrLower, 1.0);
+    plan.set_observer([&](std::string_view) {
+      while (started.load() < kRequests) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("deployer threw");
+    });
+    fault::ScopedFaultPlan scoped(plan);
+
+    std::atomic<int> threw{0};
+    std::atomic<int> transient_failures{0};
+    std::vector<std::thread> threads;
+    for (auto& node : homogeneous_fleet("ault23", kRequests)) {
+      threads.emplace_back([&, node] {
+        started.fetch_add(1);
+        try {
+          const auto r =
+              scheduler.deploy({node, "spcl/lulesh:ir", lulesh_selection()});
+          EXPECT_FALSE(r.ok);
+          EXPECT_EQ(r.code, ErrorCode::DeployFailed);
+          EXPECT_TRUE(r.transient);
+          EXPECT_TRUE(r.cache_hit);  // inherited the leader's round
+          if (!r.ok && r.transient) transient_failures.fetch_add(1);
+        } catch (const std::runtime_error&) {
+          threw.fetch_add(1);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    // Each deployer that threw is one lowering; every other request
+    // waited on a leader and got the transient failure.
+    EXPECT_EQ(static_cast<std::size_t>(threw.load()),
+              scheduler.cache().lowerings());
+    EXPECT_EQ(static_cast<std::size_t>(transient_failures.load()),
+              scheduler.cache().hits());
+    EXPECT_EQ(threw.load() + transient_failures.load(), kRequests);
+    EXPECT_EQ(threw.load(), 1);
+    EXPECT_EQ(scheduler.cache().entry_count(), 0u);
+  }
+
+  // The failure was not cached: the next request deploys again.
+  const auto retry =
+      scheduler.deploy({vm::node("ault23"), "spcl/lulesh:ir", lulesh_selection()});
+  ASSERT_TRUE(retry.ok) << retry.error;
+  EXPECT_FALSE(retry.cache_hit);
+  EXPECT_EQ(scheduler.cache().lowerings(), 2u);
+  EXPECT_EQ(scheduler.cache().entry_count(), 1u);
 }
 
 // The specialization cache under concurrent submission: all requests for

@@ -75,10 +75,11 @@ TEST(ShardedRegistry, ArchitectureQueryAndAnnotations) {
 }
 
 // The concurrency surface: writers tagging and pushing while readers
-// pull, resolve, and list. Run under tests/run_tsan.sh to prove the
-// shard locking (each shard a shared_mutex) is race-free.
+// pull, resolve, and list. Run under tests/run_tsan.sh to prove the RCU
+// snapshot publication (one writer mutex, wait-free readers) is
+// race-free.
 TEST(ShardedRegistryStress, ConcurrentPushPullTag) {
-  ShardedRegistry registry(8);
+  ShardedRegistry registry;
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
   constexpr int kImagesPerWriter = 32;

@@ -42,19 +42,24 @@ inline void expect_identical(const RunResult& actual,
 }
 
 inline void expect_buffers_identical(const Workload& a, const Workload& b) {
+  // memcmp's pointers must be valid even for zero bytes, and an empty
+  // vector's data() may be null: compare only non-empty buffers.
+  const auto same_bytes = [](const void* x, const void* y, std::size_t n) {
+    return n == 0 || std::memcmp(x, y, n) == 0;
+  };
   ASSERT_EQ(a.f64_buffers.size(), b.f64_buffers.size());
   for (const auto& [name, va] : a.f64_buffers) {
     const auto& vb = b.f64_buffers.at(name);
     ASSERT_EQ(va.size(), vb.size()) << name;
-    EXPECT_EQ(
-        std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0)
+    EXPECT_TRUE(same_bytes(va.data(), vb.data(), va.size() * sizeof(double)))
         << name;
   }
+  ASSERT_EQ(a.i64_buffers.size(), b.i64_buffers.size());
   for (const auto& [name, va] : a.i64_buffers) {
     const auto& vb = b.i64_buffers.at(name);
     ASSERT_EQ(va.size(), vb.size()) << name;
-    EXPECT_EQ(
-        std::memcmp(va.data(), vb.data(), va.size() * sizeof(long long)), 0)
+    EXPECT_TRUE(
+        same_bytes(va.data(), vb.data(), va.size() * sizeof(long long)))
         << name;
   }
 }
