@@ -43,6 +43,44 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(1024)->Arg(64 * 1024);
 
+// The result digest the gateway computes per request, over the buffers of
+// the three apps' apps_hot workloads. Its cost depends only on the bytes
+// it encodes, so the workloads are hashed as built, without a run.
+void BM_NumericsDigest(benchmark::State& state) {
+  vm::Workload workload;
+  switch (state.range(0)) {
+    case 0:
+      state.SetLabel("minimd");
+      workload = apps::minimd_workload(apps::minimd_test_a(240));
+      break;
+    case 1:
+      state.SetLabel("minillama");
+      workload = apps::minillama_workload({128, 4, 2});
+      break;
+    default:
+      state.SetLabel("minilulesh");
+      workload = apps::minilulesh_workload(2048, 16);
+      break;
+  }
+  vm::RunResult run;
+  run.ok = true;
+  // The encoding's size (docs/SERVICE.md): eight fixed fields, then per
+  // buffer its name, NUL, u64 count and 8-byte elements.
+  std::size_t bytes = 8 * 8;
+  for (const auto& [name, buffer] : workload.f64_buffers) {
+    bytes += name.size() + 1 + 8 + 8 * buffer.size();
+  }
+  for (const auto& [name, buffer] : workload.i64_buffers) {
+    bytes += name.size() + 1 + 8 + 8 * buffer.size();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::numerics_digest(run, workload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_NumericsDigest)->DenseRange(0, 2);
+
 const char* kKernel = R"(
 double dot(double* a, double* b, int n) {
   double acc = 0.0;
@@ -995,4 +1033,13 @@ BENCHMARK(BM_ColdFleetDelta)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Hash-heavy rows depend on which SHA-256 compressor this host selected.
+  benchmark::AddCustomContext("sha256_impl",
+                              xaas::common::sha256_implementation());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -401,7 +401,7 @@ void Cluster::serve(std::size_t shard_index, Job job, bool stolen) {
     }
   }
 
-  RunResult result = shard.gateway->submit(job.request).get();
+  RunResult result = shard.gateway->submit(std::move(job.request)).get();
   const double total = seconds_since(job.admitted);
 
   // Service-time EMA (steal profitability + retry-after hints).

@@ -18,18 +18,21 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// The fields and buffers are hashed in place, so their memory must already
+// be the digest's little-endian encoding (docs/SERVICE.md).
+static_assert(std::endian::native == std::endian::little,
+              "numerics_digest hashes buffer memory as little-endian");
+static_assert(sizeof(double) == 8 && sizeof(long long) == 8);
+
+template <typename T>
+void hash_buffers(common::Sha256& hash,
+                  const std::map<std::string, std::vector<T>>& buffers) {
+  for (const auto& [name, buffer] : buffers) {
+    hash.update(name.c_str(), name.size() + 1);  // name and its NUL
+    const std::uint64_t count = buffer.size();
+    hash.update(&count, sizeof count);
+    hash.update(buffer.data(), buffer.size() * sizeof(T));
   }
-}
-
-void append_f64(std::string& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void append_i64(std::string& out, long long v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
 }
 
 /// Whether a fleet node can serve an image of the given OCI architecture
@@ -46,29 +49,20 @@ bool node_serves_arch(const vm::NodeSpec& node, const std::string& arch) {
 
 std::string numerics_digest(const vm::RunResult& run,
                             const vm::Workload& workload) {
-  std::string bytes;
-  bytes.reserve(128);
-  append_f64(bytes, run.ret_f64);
-  append_i64(bytes, run.ret_i64);
-  append_f64(bytes, run.cycles_serial);
-  append_f64(bytes, run.cycles_parallel);
-  append_f64(bytes, run.cycles_gpu);
-  append_i64(bytes, run.fork_joins);
-  append_i64(bytes, run.instructions);
-  append_f64(bytes, run.elapsed_seconds);
-  for (const auto& [name, buffer] : workload.f64_buffers) {
-    bytes.append(name);
-    bytes.push_back('\0');
-    append_u64(bytes, buffer.size());
-    for (const double v : buffer) append_f64(bytes, v);
-  }
-  for (const auto& [name, buffer] : workload.i64_buffers) {
-    bytes.append(name);
-    bytes.push_back('\0');
-    append_u64(bytes, buffer.size());
-    for (const long long v : buffer) append_i64(bytes, v);
-  }
-  return common::sha256_hex(bytes);
+  common::Sha256 hash;
+  const std::uint64_t fields[] = {
+      std::bit_cast<std::uint64_t>(run.ret_f64),
+      static_cast<std::uint64_t>(run.ret_i64),
+      std::bit_cast<std::uint64_t>(run.cycles_serial),
+      std::bit_cast<std::uint64_t>(run.cycles_parallel),
+      std::bit_cast<std::uint64_t>(run.cycles_gpu),
+      static_cast<std::uint64_t>(run.fork_joins),
+      static_cast<std::uint64_t>(run.instructions),
+      std::bit_cast<std::uint64_t>(run.elapsed_seconds)};
+  hash.update(fields, sizeof fields);
+  hash_buffers(hash, workload.f64_buffers);
+  hash_buffers(hash, workload.i64_buffers);
+  return hash.hex_digest();
 }
 
 Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)

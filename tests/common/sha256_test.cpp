@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace xaas::common {
 namespace {
@@ -99,6 +105,94 @@ TEST(Sha256, DigestIs64HexChars) {
   ASSERT_EQ(d.size(), 64u);
   for (char c : d) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'));
+  }
+}
+
+TEST(Sha256, ReportsItsImplementation) {
+  const std::string impl = sha256_implementation();
+  EXPECT_EQ(impl, sha256_compress_accelerated() ? "sha-ni" : "portable");
+}
+
+// The whole hash on the portable compressor alone: the reference the
+// accelerated path must reproduce.
+std::string portable_sha256_hex(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_compress_portable(state, data, len / 64);
+  std::vector<std::uint8_t> tail(data + len / 64 * 64, data + len);
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  for (int i = 7; i >= 0; --i) {
+    tail.push_back(
+        static_cast<std::uint8_t>((std::uint64_t{len} * 8) >> (8 * i)));
+  }
+  sha256_compress_portable(state, tail.data(), tail.size() / 64);
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint32_t word : state) {
+    for (int shift = 28; shift >= 0; shift -= 4) {
+      out += kHex[(word >> shift) & 0xF];
+    }
+  }
+  return out;
+}
+
+// Empty updates are no-ops whatever the pointer: an empty vector's data()
+// may be null, and a partially filled staging buffer must not memcpy
+// from it.
+TEST(Sha256Stress, EmptyUpdateWithNullData) {
+  const std::vector<double> empty;
+  Sha256 h;
+  h.update(nullptr, 0);
+  h.update("ab");
+  h.update(empty.data(), empty.size() * sizeof(double));
+  h.update(nullptr, 0);
+  h.update("c");
+  EXPECT_EQ(h.hex_digest(), sha256_hex("abc"));
+}
+
+// Seeded differential check of the SHA-extensions compressor against the
+// portable one: block functions called directly from random chaining
+// states at unaligned addresses, and whole hashes fed in random chunks
+// that cross block edges.
+TEST(Sha256Stress, AcceleratedBlocksMatchPortable) {
+  const Sha256Compress accelerated = sha256_compress_accelerated();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "this CPU has no SHA extensions; only the portable "
+                    "compressor runs here";
+  }
+  Rng rng(0x5eed5a256ULL);
+  std::vector<std::uint8_t> storage(4096 + 64);
+  const std::size_t kEdges[] = {0, 1, 55, 56, 63, 64, 65, 128, 4095, 4096};
+  for (std::size_t trial = 0; trial < 400; ++trial) {
+    const std::size_t len =
+        trial < std::size(kEdges) ? kEdges[trial] : rng.next_below(4097);
+    const std::size_t offset = rng.next_below(16);
+    std::uint8_t* data = storage.data() + offset;
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+
+    std::uint32_t portable[8];
+    for (std::uint32_t& word : portable) {
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    std::uint32_t fast[8];
+    std::memcpy(fast, portable, sizeof(fast));
+    sha256_compress_portable(portable, data, len / 64);
+    accelerated(fast, data, len / 64);
+    ASSERT_EQ(std::memcmp(portable, fast, sizeof(fast)), 0)
+        << "len " << len << " offset " << offset;
+
+    Sha256 h;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t chunk =
+          std::min<std::size_t>(len - at, rng.next_below(200));
+      h.update(data + at, chunk);
+      at += chunk;
+    }
+    ASSERT_EQ(h.hex_digest(), portable_sha256_hex(data, len))
+        << "len " << len << " offset " << offset;
   }
 }
 

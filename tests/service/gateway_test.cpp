@@ -88,6 +88,34 @@ TEST(Gateway, SingleRequestMatchesDirectDeployAndRun) {
   EXPECT_EQ(snap.histograms.at("gateway.total_seconds").count, 2u);
 }
 
+// Pins the numerics_digest byte encoding (docs/SERVICE.md): the fixed
+// result fields, then each f64 buffer and each i64 buffer as
+// name + NUL + u64 count + little-endian elements, in map order. The
+// expected hex was computed by the byte-string encoder this digest
+// replaced, so a drift in field order, width or endianness shows here.
+TEST(Gateway, NumericsDigestGolden) {
+  vm::RunResult run;
+  run.ok = true;
+  run.ret_f64 = -1.5;
+  run.ret_i64 = -42;
+  run.cycles_serial = 1234.25;
+  run.cycles_parallel = 5e9;
+  run.cycles_gpu = 0.0;
+  run.fork_joins = 7;
+  run.instructions = 123456789012LL;
+  run.threads_used = 4;  // not part of the digest
+  run.elapsed_seconds = 3.5e-3;
+
+  vm::Workload workload;
+  workload.f64_buffers["pos"] = {1.0, -2.5, 1e300, -0.0};
+  workload.f64_buffers["empty"] = {};
+  workload.i64_buffers["ids"] = {0, -1, std::numeric_limits<long long>::max(),
+                                 std::numeric_limits<long long>::min()};
+
+  EXPECT_EQ(numerics_digest(run, workload),
+            "e655d65dd6ae1c02a7676ba5c80b95e77e3e42163d114c882dc7d90e3d0ca2b6");
+}
+
 TEST(Gateway, RoutesByIsaCompatibility) {
   const Application app = make_app();
   const container::Image ir_image = make_ir_image(app);
