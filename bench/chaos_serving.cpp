@@ -1,7 +1,7 @@
-// Chaos serving bench: the gateway_serving request loop re-run under a
-// deterministic FaultPlan — crashed nodes, flaky TU builds, flaky IR
-// lowering, artifact-store I/O errors and silent corruption — over a
-// 32-node fleet with 3 nodes crashed. The reliability layer (retries
+// Chaos serving bench: the gateway_serving request loop (a one-gateway
+// Cluster) re-run under a deterministic FaultPlan — crashed nodes, flaky
+// TU builds, flaky IR lowering, artifact-store I/O errors and silent
+// corruption — over a 32-node fleet with 3 nodes crashed. The reliability layer (retries
 // with backoff, per-node circuit breakers, negative-result poisoning,
 // store verification) must absorb every injected fault.
 //
@@ -10,13 +10,14 @@
 //    digest) to a healthy-fleet reference — zero wrong answers;
 //  - no result ran on a crashed node;
 //  - chaos actually happened (injected crash + build/store faults > 0);
-//  - telemetry is exactly consistent after drain: requests ==
-//    admitted + rejected + shed, completed + failed == admitted,
-//    gateway.retries == sum(attempts - 1), gateway.breaker_open ==
-//    sum of breaker trips, fault.<site> counters == the plan's
-//    injected_by_site(), queue and in-flight drained to zero;
-//  - p99 total latency stays bounded (backoff is capped, breakers
-//    shortcut crashed nodes).
+//  - telemetry is exactly consistent after drain: cluster.requests ==
+//    admitted + rejected + shed + quota_denied, completed + failed ==
+//    admitted (in the cluster and in the gateway), gateway.retries ==
+//    sum(attempts - 1), gateway.breaker_open == sum of breaker trips,
+//    fault.<site> counters == the plan's injected_by_site(), WFQ
+//    drained to zero;
+//  - p99 latency from cluster admission stays bounded (backoff is
+//    capped, breakers shortcut crashed nodes).
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -27,8 +28,8 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "service/cluster.hpp"
 #include "service/fault.hpp"
-#include "service/gateway.hpp"
 
 namespace xaas {
 namespace {
@@ -133,7 +134,7 @@ int run() {
   std::error_code ec;
   std::filesystem::remove_all(store_root, ec);
 
-  // The plan outlives the gateway: its observer feeds gateway telemetry
+  // The plan outlives the cluster: its observer feeds gateway telemetry
   // and hooks stay installed through the destructor's drain.
   service::fault::FaultPlan plan(2025);
   for (const char* crashed : kCrashed) plan.crash_node(crashed);
@@ -145,17 +146,19 @@ int run() {
   plan.set_slowdown_seconds(0.001);
   plan.set_probability(service::fault::kNodeSlow, 0.02);
 
-  service::GatewayOptions options;
-  options.worker_threads = 4;
-  options.max_queue = 128;
-  options.artifact_dir = (store_root / "store").string();
-  options.retry.max_attempts = 16;
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_seconds = 0.25;
-  options.shed_queue_fraction = 0.9;  // degradation armed, not expected
-  service::Gateway gateway(fleet, options);
-  gateway.push(build.image, "spcl/minimd:ir");
-  gateway.push(source_image, "spcl/minimd:src");
+  // One gateway behind the Cluster's admission layer.
+  service::ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 4;
+  options.max_pending = 128;  // depth shedding armed, not expected
+  options.gateway.artifact_dir = (store_root / "store").string();
+  options.gateway.retry.max_attempts = 16;
+  options.gateway.breaker.failure_threshold = 2;
+  options.gateway.breaker.open_seconds = 0.25;
+  service::Cluster cluster(fleet, options);
+  cluster.push(build.image, "spcl/minimd:ir");
+  cluster.push(source_image, "spcl/minimd:src");
+  service::Gateway& gateway = cluster.gateway(0);
   gateway.observe_fault_plan(plan);
 
   // The chaos run: faults injected from here until every future is
@@ -164,21 +167,21 @@ int run() {
   std::vector<service::RunResult> results(kTotal);
   {
     service::fault::ScopedFaultPlan guard(plan);
-    std::vector<std::vector<std::future<service::RunResult>>> futures(
+    std::vector<std::vector<std::future<service::ClusterRunResult>>> futures(
         kClients);
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         for (int i = 0; i < kPerClient; ++i) {
-          futures[c].push_back(gateway.submit(make_request((c + i) % 3)));
+          futures[c].push_back(cluster.submit(make_request((c + i) % 3)));
         }
       });
     }
     for (auto& client : clients) client.join();
     for (int c = 0; c < kClients; ++c) {
       for (int i = 0; i < kPerClient; ++i) {
-        results[c * kPerClient + i] = futures[c][i].get();
+        results[c * kPerClient + i] = futures[c][i].get().result;
       }
     }
   }
@@ -227,9 +230,12 @@ int run() {
     trips += gateway.node_breaker(i).trips();
   }
 
+  const auto cluster_snap = cluster.snapshot();
   const auto snap = gateway.snapshot();
   const auto& total_hist = snap.histograms.at("gateway.total_seconds");
-  const double p99 = total_hist.quantile_upper_seconds(0.99);
+  // Latency from cluster admission (WFQ wait included) to completion.
+  const double p99 = cluster_snap.histograms.at("tenant.default.total_seconds")
+                         .quantile_upper_seconds(0.99);
   const auto by_site = plan.injected_by_site();
   bool fault_counters_match = true;
   for (const auto& [site, injected] : by_site) {
@@ -264,23 +270,27 @@ int run() {
 
   const auto total = static_cast<std::uint64_t>(kTotal);
   const auto shed = static_cast<std::uint64_t>(shed_count);
+  const auto admitted = cluster_snap.counter("cluster.admitted");
   const bool telemetry_consistent =
-      snap.counter("gateway.requests") == total &&
-      snap.counter("gateway.admitted") + snap.counter("gateway.rejected") +
-              snap.counter("gateway.shed") ==
+      cluster_snap.counter("cluster.requests") == total &&
+      admitted + cluster_snap.counter("cluster.rejected") +
+              cluster_snap.counter("cluster.shed") +
+              cluster_snap.counter("cluster.quota_denied") ==
           total &&
-      snap.counter("gateway.shed") == shed &&
-      snap.counter("gateway.rejected") == 0 &&
+      cluster_snap.counter("cluster.shed") == shed &&
+      cluster_snap.counter("cluster.rejected") == 0 &&
+      cluster_snap.counter("cluster.completed") +
+              cluster_snap.counter("cluster.failed") ==
+          admitted &&
       snap.counter("gateway.completed") + snap.counter("gateway.failed") ==
-          snap.counter("gateway.admitted") &&
+          admitted &&
       snap.counter("gateway.completed") ==
           static_cast<std::uint64_t>(ok_count) &&
       snap.counter("gateway.retries") == attempts_minus_one &&
       snap.counter("gateway.breaker_open") == trips &&
       snap.counter("gateway.deadline_exceeded") == 0 &&
-      total_hist.count == snap.counter("gateway.admitted") &&
-      fault_counters_match && snap.gauge("gateway.queue_depth") == 0 &&
-      snap.gauge("gateway.in_flight") == 0 && gateway.queue_depth() == 0;
+      total_hist.count == admitted && fault_counters_match &&
+      cluster.pending() == 0;
 
   const bool chaos_happened =
       crash_injections > 0 && plan.total_injected() > crash_injections;

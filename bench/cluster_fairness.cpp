@@ -59,7 +59,6 @@ service::ClusterOptions cluster_options() {
   options.gateways = 4;
   options.dispatchers_per_gateway = 2;
   options.max_pending = 8192;  // victims must shed nothing
-  options.gateway.max_queue = 256;
   return options;
 }
 

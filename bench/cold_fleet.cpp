@@ -154,7 +154,6 @@ std::unique_ptr<service::Gateway> make_gateway(
     const Fixture& f, const vm::NodeSpec& node, const std::string& name,
     const fs::path& root, service::DistributionFabric& fabric) {
   service::GatewayOptions options;
-  options.worker_threads = 1;
   options.artifact_dir = (root / name).string();
   options.distribution = &fabric;
   options.distribution_name = name;
@@ -199,7 +198,7 @@ std::uint64_t measure_naive_baseline(const Fixture& f, const fs::path& root,
 
   const std::uint64_t before = fabric.stats().bytes_total();
   for (const auto& cls : request_classes()) {
-    const auto result = builder->submit(request_for(cls)).get();
+    const auto result = builder->serve(request_for(cls));
     if (!result.ok) {
       *error = "naive builder failed on " + std::string(cls.name) + ": " +
                result.error;
@@ -252,7 +251,7 @@ DeltaRound run_delta_fleet(
   // Node 0 builds the first three classes; gossip pre-warms them
   // ring-wide before any peer sees a request.
   for (std::size_t c = 0; c + 1 < classes.size(); ++c) {
-    const auto result = builder.submit(request_for(classes[c])).get();
+    const auto result = builder.serve(request_for(classes[c]));
     if (!result.ok) {
       round.error = "builder failed on " + std::string(classes[c].name) +
                     ": " + result.error;
@@ -264,7 +263,7 @@ DeltaRound run_delta_fleet(
   // The last class is built but never gossiped before serving: each peer
   // fetches it by lazy pull under its single-flight leader.
   {
-    const auto result = builder.submit(request_for(classes.back())).get();
+    const auto result = builder.serve(request_for(classes.back()));
     if (!result.ok) {
       round.error = "builder failed on " +
                     std::string(classes.back().name) + ": " + result.error;
@@ -280,7 +279,7 @@ DeltaRound run_delta_fleet(
       if (!node.sky && !isa::runs_on(cls.march, isa::VectorIsa::AVX2_256)) {
         continue;
       }
-      const auto result = node.gateway->submit(request_for(cls)).get();
+      const auto result = node.gateway->serve(request_for(cls));
       if (!result.ok) {
         round.error = node.name + " failed on " + cls.name + ": " +
                       result.error;
@@ -302,7 +301,7 @@ DeltaRound run_delta_fleet(
   round.second_push = builder.distribution()->push_to(
       *fleet[1].gateway->distribution());
 
-  // Drain is implicit (every submit().get() completed); reconcile.
+  // Drain is implicit (every serve() returned); reconcile.
   round.stats = fabric.stats();
   round.bytes = round.stats.bytes_total();
   std::uint64_t accepted = 0;

@@ -2,16 +2,19 @@
 // (§2/§7 — deploy + run behind one front door). N client threads submit
 // M requests each — mixed IR configurations plus auto-specialized source
 // builds — over a heterogeneous fleet (AVX-512 batch nodes + AVX2 edge
-// nodes) and the gateway routes, specializes, and executes every one.
+// nodes) to a one-gateway Cluster: the Cluster admits and queues, its
+// dispatchers call Gateway::serve, which routes, specializes, and
+// executes every one.
 //
 // Acceptance gate (exit status):
-//  - every gateway result is bit-identical (numerics digest: returns,
-//    cost model, buffers) to a direct deploy+run on the same
+//  - every result is bit-identical (numerics digest: returns, cost
+//    model, buffers) to a direct deploy+run on the same
 //    microarchitecture;
 //  - at least one specialization was reused across concurrent requests
 //    (spec_cache.misses < requests);
-//  - the telemetry snapshot is consistent with the run: every request
-//    admitted and completed, histogram counts match, queue drained.
+//  - the telemetry snapshots reconcile exactly with the run: every
+//    request admitted by the cluster and completed by the gateway,
+//    histogram counts match, WFQ drained.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,7 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "service/gateway.hpp"
+#include "service/cluster.hpp"
 
 namespace xaas {
 namespace {
@@ -85,15 +88,16 @@ int run() {
   const vm::NodeSpec batch_ref = fleet[0];
   const vm::NodeSpec edge_ref = fleet[4];
 
-  service::GatewayOptions options;
-  options.worker_threads = 4;
-  options.max_queue = 16;
-  service::Gateway gateway(fleet, options);
-  gateway.push(build.image, "spcl/minimd:ir");
-  gateway.push(source_image, "spcl/minimd:src");
+  service::ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 4;
+  service::Cluster cluster(fleet, options);
+  cluster.push(build.image, "spcl/minimd:ir");
+  cluster.push(source_image, "spcl/minimd:src");
+  service::Gateway& gateway = cluster.gateway(0);
 
   // Serial uncached reference digests, one per (class, microarch group),
-  // computed before the gateway touches anything.
+  // computed before the service touches anything.
   std::map<std::pair<int, bool>, std::string> reference;
   for (const bool is_batch : {true, false}) {
     const vm::NodeSpec& node = is_batch ? batch_ref : edge_ref;
@@ -125,13 +129,14 @@ int run() {
 
   // The serving run: N clients submit concurrently.
   const auto t_serve = Clock::now();
-  std::vector<std::vector<std::future<service::RunResult>>> futures(kClients);
+  std::vector<std::vector<std::future<service::ClusterRunResult>>> futures(
+      kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
-        futures[c].push_back(gateway.submit(make_request((c + i) % 3)));
+        futures[c].push_back(cluster.submit(make_request((c + i) % 3)));
       }
     });
   }
@@ -141,14 +146,15 @@ int run() {
   double worst_total = 0.0;
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kPerClient; ++i) {
-      const auto result = futures[c][i].get();
+      const auto served = futures[c][i].get();
+      const service::RunResult& result = served.result;
       if (!result.ok) {
         std::printf("request failed: %s\n", result.error.c_str());
         continue;
       }
       ++completed;
       if (result.spec_cache_hit) ++cache_hits;
-      worst_total = std::max(worst_total, result.total_seconds);
+      worst_total = std::max(worst_total, served.total_seconds);
       const bool is_batch = result.node_name.rfind("batch-", 0) == 0;
       const int klass = (c + i) % 3;
       if (result.numerics_digest == reference.at({klass, is_batch})) {
@@ -162,6 +168,7 @@ int run() {
   const double serve_s = seconds_since(t_serve);
 
   constexpr int kTotal = kClients * kPerClient;
+  const auto cluster_snap = cluster.snapshot();
   const auto snap = gateway.snapshot();
   const auto misses = snap.counter("spec_cache.misses");
   const auto hits = snap.counter("spec_cache.hits");
@@ -183,9 +190,13 @@ int run() {
 
   // Telemetry consistency: admission, completion, histograms, drain.
   const bool telemetry_consistent =
-      snap.counter("gateway.requests") == kTotal &&
-      snap.counter("gateway.admitted") == kTotal &&
-      snap.counter("gateway.rejected") == 0 &&
+      cluster_snap.counter("cluster.requests") == kTotal &&
+      cluster_snap.counter("cluster.admitted") == kTotal &&
+      cluster_snap.counter("cluster.rejected") == 0 &&
+      cluster_snap.counter("cluster.shed") == 0 &&
+      cluster_snap.counter("cluster.completed") ==
+          static_cast<std::uint64_t>(completed) &&
+      cluster_snap.counter("cluster.failed") == 0 &&
       snap.counter("gateway.completed") ==
           static_cast<std::uint64_t>(completed) &&
       snap.counter("gateway.failed") == 0 &&
@@ -194,10 +205,7 @@ int run() {
       snap.histograms.at("gateway.run_seconds").count == kTotal &&
       hits + misses == kTotal &&
       snap.histograms.at("spec_cache.lowering_seconds").count == misses &&
-      snap.counter("vm.runs") == kTotal &&
-      snap.gauge("gateway.queue_depth") == 0 &&
-      snap.gauge("gateway.in_flight") == 0 &&
-      gateway.queue_depth() == 0;
+      snap.counter("vm.runs") == kTotal && cluster.pending() == 0;
 
   const bool pass = completed == kTotal && identical == kTotal &&
                     misses < kTotal && telemetry_consistent;

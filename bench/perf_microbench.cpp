@@ -23,7 +23,6 @@
 #include "service/deploy_scheduler.hpp"
 #include "service/distribution.hpp"
 #include "service/fault.hpp"
-#include "service/gateway.hpp"
 #include "vm/executor.hpp"
 #include "vm/program.hpp"
 #include "xaas/ir_deploy.hpp"
@@ -503,57 +502,13 @@ void BM_BuildFarmCached(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFarmCached)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// End-to-end serving through the Gateway: N requests (mixed AVX-512 /
-// SSE4.1 IR configurations) admitted, routed over a heterogeneous fleet,
-// deployed through the warm specialization cache, and executed. This is
-// the steady-state request loop — the lowerings happen in the first
-// iteration, later ones measure admission + routing + cache hit + run.
-void BM_GatewayServing(benchmark::State& state) {
-  const auto& f = FleetFixture::get();
-  const int requests = static_cast<int>(state.range(0));
-  if (!f.build_ok) {
-    state.SkipWithError("fleet fixture invalid (IR build failed)");
-    return;
-  }
-  std::vector<vm::NodeSpec> fleet;
-  for (auto& n : vm::simulated_fleet(vm::node("ault23"), 3, "gwbatch-")) {
-    fleet.push_back(std::move(n));
-  }
-  for (auto& n : vm::simulated_fleet(vm::node("devbox"), 1, "gwedge-")) {
-    fleet.push_back(std::move(n));
-  }
-  service::GatewayOptions options;
-  options.worker_threads = 4;
-  options.max_queue = static_cast<std::size_t>(requests);
-  service::Gateway gateway(std::move(fleet), options);
-  gateway.push(f.image, "bench:ir");
-  for (auto _ : state) {
-    std::vector<service::RunRequest> batch;
-    batch.reserve(static_cast<std::size_t>(requests));
-    for (int i = 0; i < requests; ++i) {
-      service::RunRequest request;
-      request.image_reference = "bench:ir";
-      request.selections = {{"MD_SIMD", i % 2 == 0 ? "AVX_512" : "SSE4.1"}};
-      request.workload = apps::minimd_workload({64, 8, 2, 64});
-      batch.push_back(std::move(request));
-    }
-    const auto results = gateway.run_all(std::move(batch));
-    for (const auto& r : results) {
-      if (!r.ok) state.SkipWithError(r.error.c_str());
-    }
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          requests);
-}
-BENCHMARK(BM_GatewayServing)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// The same steady-state serving loop through the cluster front tier:
+// End-to-end steady-state serving through the cluster front tier:
 // range(0) gateways behind the consistent-hash router, range(1) requests
-// per batch (mixed AVX-512 / SSE4.1 classes from several tenants). On
-// top of BM_GatewayServing this pays ring lookup, token-bucket
-// admission, WFQ ordering, and any work steals — the per-request cost of
-// multi-tenant fan-out.
+// per batch (mixed AVX-512 / SSE4.1 classes from several tenants),
+// admitted (token bucket, WFQ), dispatched to Gateway::serve, deployed
+// through the warm specialization cache, and executed. The lowerings
+// happen in the first iteration. Wall-clock time: the work runs on the
+// dispatcher threads, not the timing thread.
 void BM_ClusterServing(benchmark::State& state) {
   const auto& f = FleetFixture::get();
   const auto gateways = static_cast<std::size_t>(state.range(0));
@@ -566,7 +521,6 @@ void BM_ClusterServing(benchmark::State& state) {
   options.gateways = gateways;
   options.dispatchers_per_gateway = 2;
   options.max_pending = static_cast<std::size_t>(requests);
-  options.gateway.max_queue = static_cast<std::size_t>(requests);
   service::Cluster cluster(
       vm::simulated_fleet(vm::node("ault23"), 2 * gateways, "clnode-"),
       options);
@@ -592,7 +546,10 @@ void BM_ClusterServing(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           requests);
 }
-BENCHMARK(BM_ClusterServing)->Args({4, 32})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterServing)
+    ->Args({4, 32})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Serving-plane read contention: 31 reader threads pull hot tags while
 // thread 0 continuously re-pushes them (the 95/5 serving mix realised
@@ -736,11 +693,11 @@ void BM_ReadContentionBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadContentionBaseline)->Threads(32)->UseRealTime();
 
-// The same serving loop under a deterministic FaultPlan: one batch node
-// crashed, flaky TU builds and IR lowering. Measures what the
-// reliability layer (breakers routing around the dead node, retry with
-// capped backoff) costs relative to BM_GatewayServing; every result
-// must still come back ok.
+// A serving loop under a deterministic FaultPlan: one gateway behind the
+// cluster admission layer, one batch node crashed, flaky TU builds and
+// IR lowering. Measures what the reliability layer (breakers routing
+// around the dead node, retry with capped backoff) costs; every result
+// must still come back ok. Wall-clock time, like BM_ClusterServing.
 void BM_ChaosServing(benchmark::State& state) {
   const auto& f = FleetFixture::get();
   const int requests = static_cast<int>(state.range(0));
@@ -759,12 +716,13 @@ void BM_ChaosServing(benchmark::State& state) {
   plan.crash_node("chbatch-0");
   plan.set_probability(service::fault::kTuBuild, 0.05);
   plan.set_probability(service::fault::kIrLower, 0.05);
-  service::GatewayOptions options;
-  options.worker_threads = 4;
-  options.max_queue = static_cast<std::size_t>(requests);
-  options.retry.max_attempts = 8;
-  service::Gateway gateway(std::move(fleet), options);
-  gateway.push(f.image, "bench:ir");
+  service::ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 4;
+  options.max_pending = static_cast<std::size_t>(requests);
+  options.gateway.retry.max_attempts = 8;
+  service::Cluster cluster(std::move(fleet), options);
+  cluster.push(f.image, "bench:ir");
   service::fault::ScopedFaultPlan guard(plan);
   for (auto _ : state) {
     std::vector<service::RunRequest> batch;
@@ -776,8 +734,9 @@ void BM_ChaosServing(benchmark::State& state) {
       request.workload = apps::minimd_workload({64, 8, 2, 64});
       batch.push_back(std::move(request));
     }
-    const auto results = gateway.run_all(std::move(batch));
-    for (const auto& r : results) {
+    const auto results = cluster.run_all(std::move(batch));
+    for (const auto& served : results) {
+      const service::RunResult& r = served.result;
       if (!r.ok) state.SkipWithError(r.error.c_str());
       if (r.node_name == "chbatch-0") {
         state.SkipWithError("request completed on the crashed node");
@@ -790,7 +749,10 @@ void BM_ChaosServing(benchmark::State& state) {
   state.counters["faults"] =
       static_cast<double>(plan.total_injected());
 }
-BENCHMARK(BM_ChaosServing)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChaosServing)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Warm-start tiers: the same 32-node single-microarch source fleet
 // deployed by a fresh BuildFarm against (a) an empty artifact directory —

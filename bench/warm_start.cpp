@@ -19,7 +19,7 @@
 
 #include "bench/bench_util.hpp"
 #include "service/artifact_store.hpp"
-#include "service/gateway.hpp"
+#include "service/cluster.hpp"
 
 namespace xaas {
 namespace {
@@ -134,21 +134,24 @@ struct GatewayRound {
   std::size_t verify_failures = 0;
 };
 
-/// Serve 32 mixed requests (8 per class) through a fresh Gateway rooted
-/// at `artifact_dir`, checking every completion against its
-/// per-(class, routed-node-group) direct reference.
+/// Serve 32 mixed requests (8 per class) through a fresh one-gateway
+/// Cluster whose gateway is rooted at `artifact_dir`, checking every
+/// completion against its per-(class, routed-node-group) direct
+/// reference.
 GatewayRound serve_round(
     const Fixture& f, const std::string& artifact_dir,
     const std::map<std::string, std::map<std::string, std::string>>&
         references) {
   GatewayRound round;
 
-  service::GatewayOptions options;
-  options.worker_threads = 4;
-  options.artifact_dir = artifact_dir;
-  service::Gateway gateway(f.fleet, options);
-  gateway.push(f.source_image, "spcl/minimd:src");
-  gateway.push(f.ir_image, "spcl/minimd:ir");
+  service::ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 4;
+  options.gateway.artifact_dir = artifact_dir;
+  service::Cluster cluster(f.fleet, options);
+  cluster.push(f.source_image, "spcl/minimd:src");
+  cluster.push(f.ir_image, "spcl/minimd:ir");
+  service::Gateway& gateway = cluster.gateway(0);
 
   const auto classes = request_classes();
   std::vector<service::RunRequest> requests;
@@ -169,19 +172,20 @@ GatewayRound serve_round(
   }
 
   const auto t_start = Clock::now();
-  const auto results = gateway.run_all(std::move(requests));
+  const auto results = cluster.run_all(std::move(requests));
   round.wall_seconds = seconds_since(t_start);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok) {
+    const service::RunResult& result = results[i].result;
+    if (!result.ok) {
       round.error = "request " + std::to_string(i) + " (" +
-                    request_class[i]->name + ") failed: " + results[i].error;
+                    request_class[i]->name + ") failed: " + result.error;
       return round;
     }
     // Node group by fleet prefix: sky- (Skylake-AVX512) or has- (Haswell).
-    const std::string group = results[i].node_name.substr(0, 4);
+    const std::string group = result.node_name.substr(0, 4);
     const auto& expected = references.at(request_class[i]->name).at(group);
-    if (results[i].numerics_digest == expected) ++round.identical;
+    if (result.numerics_digest == expected) ++round.identical;
   }
 
   round.lowerings = gateway.scheduler().cache().lowerings() +

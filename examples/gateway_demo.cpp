@@ -2,18 +2,19 @@
 //
 // A build machine pushes two containers — an IR container with baked
 // SIMD configurations and a source container that builds on-node — into
-// the gateway's registry. Clients then submit *work* (image + config +
-// workload + priority); the gateway admits, routes by ISA compatibility
-// and load, specializes through the shared caches, executes on the
-// pre-decoded program, and answers with numerics, per-stage latencies,
-// and which caches hit. The live telemetry snapshot is printed at the
+// a one-gateway Cluster. Clients then submit *work* (image + config +
+// workload + priority); the Cluster admits and queues it (priority
+// first), and the gateway routes by ISA compatibility and load,
+// specializes through the shared caches, executes on the pre-decoded
+// program, and answers with numerics, per-stage latencies, and which
+// caches hit. The gateway's live telemetry snapshot is printed at the
 // end.
 #include <cstdio>
 #include <vector>
 
 #include "apps/minimd.hpp"
 #include "common/table.hpp"
-#include "service/gateway.hpp"
+#include "service/cluster.hpp"
 #include "xaas/ir_pipeline.hpp"
 
 using namespace xaas;
@@ -36,7 +37,7 @@ int main() {
       build_source_image(app, isa::Arch::X86_64);
 
   // The platform: 3 AVX-512 batch nodes + 1 AVX2 edge node behind one
-  // gateway.
+  // gateway, served by two dispatchers.
   std::vector<vm::NodeSpec> fleet;
   for (auto& n : vm::simulated_fleet(vm::node("ault23"), 3, "batch-")) {
     fleet.push_back(std::move(n));
@@ -44,11 +45,13 @@ int main() {
   for (auto& n : vm::simulated_fleet(vm::node("devbox"), 1, "edge-")) {
     fleet.push_back(std::move(n));
   }
-  service::GatewayOptions options;
-  options.worker_threads = 2;
-  service::Gateway gateway(std::move(fleet), options);
-  gateway.push(build.image, "spcl/minimd:ir");
-  gateway.push(source_image, "spcl/minimd:src");
+  service::ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 2;
+  service::Cluster cluster(std::move(fleet), options);
+  cluster.push(build.image, "spcl/minimd:ir");
+  cluster.push(source_image, "spcl/minimd:src");
+  const service::Gateway& gateway = cluster.gateway(0);
   std::printf("pushed spcl/minimd:ir and spcl/minimd:src; fleet of %zu\n",
               gateway.fleet().size());
 
@@ -67,11 +70,12 @@ int main() {
     if (i == 5) request.priority = 10;  // jump the queue
     requests.push_back(std::move(request));
   }
-  const auto results = gateway.run_all(std::move(requests));
+  const auto results = cluster.run_all(std::move(requests));
 
   common::Table table({"Node", "Config", "Cache", "Deploy ms", "Run ms",
                        "Energy", "Done#"});
-  for (const auto& r : results) {
+  for (const auto& served : results) {
+    const service::RunResult& r = served.result;
     if (!r.ok) {
       table.add_row({r.node_name.empty() ? "-" : r.node_name, "-", "-", "-",
                      "-", "failed: " + r.error, "-"});

@@ -5,15 +5,10 @@
 
 namespace xaas::common {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(threads != 0
+                   ? threads
+                   : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -25,6 +20,12 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
+  std::call_once(started_, [this] {
+    workers_.reserve(threads_);
+    for (std::size_t i = 0; i < threads_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  });
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> fut = packaged.get_future();
   {
@@ -66,8 +67,8 @@ void ThreadPool::parallel_for_chunks(
   if (n == 0) return;
   if (grain == 0) grain = 1;
   const std::size_t max_chunks = (n + grain - 1) / grain;
-  const std::size_t chunks = std::min(max_chunks, workers_.size() * 4);
-  if (chunks <= 1 || workers_.size() <= 1) {
+  const std::size_t chunks = std::min(max_chunks, threads_ * 4);
+  if (chunks <= 1 || threads_ <= 1) {
     fn(0, n);  // inline: no queue round-trip, no future allocation
     return;
   }

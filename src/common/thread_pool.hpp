@@ -18,14 +18,17 @@ namespace xaas::common {
 
 class ThreadPool {
 public:
-  /// `threads == 0` selects the hardware concurrency.
+  /// `threads == 0` selects the hardware concurrency. The workers start
+  /// with the first submitted task, so a pool that only ever runs inline
+  /// (or is never used, like the deploy pools of a gateway that serves
+  /// synchronously) starts no thread.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return threads_; }
 
   /// Enqueue an arbitrary task.
   std::future<void> submit(std::function<void()> task);
@@ -49,6 +52,8 @@ public:
 private:
   void worker_loop();
 
+  std::size_t threads_;
+  std::once_flag started_;
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> tasks_;
   std::mutex mutex_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "common/strings.hpp"
 
@@ -360,6 +361,33 @@ ParseIrResult parse_ir(const std::string& text) {
   result.ok = true;
   result.module = std::move(module);
   return result;
+}
+
+std::string loop_metadata_error(const Module& module) {
+  for (const auto& fn : module.functions) {
+    const int nblocks = static_cast<int>(fn.blocks.size());
+    for (std::size_t li = 0; li < fn.loops.size(); ++li) {
+      const LoopInfo& loop = fn.loops[li];
+      const auto bad = [&](const char* field, int block) {
+        return "loop " + std::to_string(li) + " of " + fn.name + ": " +
+               field + " block " + std::to_string(block) + " outside [0, " +
+               std::to_string(nblocks) + ")";
+      };
+      const std::pair<const char*, int> ends[] = {
+          {"preheader", loop.preheader}, {"header", loop.header},
+          {"body", loop.body},           {"latch", loop.latch},
+          {"exit", loop.exit}};
+      for (const auto& [field, block] : ends) {
+        if (block != -1 && (block < 0 || block >= nblocks)) {
+          return bad(field, block);
+        }
+      }
+      for (int block : loop.blocks) {
+        if (block < 0 || block >= nblocks) return bad("member", block);
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace xaas::minicc::ir

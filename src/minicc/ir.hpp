@@ -154,6 +154,14 @@ struct ParseIrResult {
 /// Parse the textual form back; print(parse(print(m))) == print(m).
 ParseIrResult parse_ir(const std::string& text);
 
+/// Why `module`'s loop metadata names a block its function lacks, or
+/// empty when it names none: every LoopInfo preheader, header, body,
+/// latch and exit must be -1 (unset) or an index into the function's
+/// blocks, and every blocks[] entry an index. Lowering (the vectorizer)
+/// walks this metadata unchecked, so IR from an image must pass it
+/// before minicc::lower.
+std::string loop_metadata_error(const Module& module);
+
 std::string_view opcode_name(Opcode op);
 std::string_view pred_name(CmpPred pred);
 std::string_view regtype_name(RegType t);

@@ -32,13 +32,14 @@ struct LoopAnalysis {
   std::set<int> invariants;
 };
 
+// Block indices come from ir::loop_metadata_error-checked metadata: each
+// is -1 or a block of `fn`. The rewrite needs a real preheader and header.
 LoopAnalysis analyze(const Function& fn, const LoopInfo& loop) {
   LoopAnalysis result;
-  if (loop.body < 0 || loop.induction_reg < 0 || loop.bound_reg < 0 ||
-      loop.vectorized) {
+  if (loop.body < 0 || loop.header < 0 || loop.preheader < 0 ||
+      loop.induction_reg < 0 || loop.bound_reg < 0 || loop.vectorized) {
     return result;
   }
-  if (loop.body >= static_cast<int>(fn.blocks.size())) return result;
   const Block& body = fn.blocks[loop.body];
 
   // Registers written anywhere inside the loop (header/body/latch).
@@ -129,7 +130,9 @@ LoopAnalysis analyze(const Function& fn, const LoopInfo& loop) {
     //   t = fadd/fsub reg, x   (single such combine)
     //   mov reg, t             (single write of reg)
     if (write_count[reg] != 1) return result;
-    if (fn.reg_types[reg] != RegType::F64) return result;
+    if (reg >= fn.num_regs() || fn.reg_types[reg] != RegType::F64) {
+      return result;
+    }
     int combine_reg = -1;
     Opcode combine_op = Opcode::FAdd;
     bool found_mov = false;

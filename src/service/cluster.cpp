@@ -126,9 +126,6 @@ Cluster::Cluster(std::vector<vm::NodeSpec> fleet, ClusterOptions options)
   const std::size_t gateways = std::min(
       options_.gateways, std::max<std::size_t>(1, fleet.size()));
   GatewayOptions gateway_options = options_.gateway;
-  if (gateway_options.worker_threads == 0) {
-    gateway_options.worker_threads = options_.dispatchers_per_gateway;
-  }
   std::size_t next = 0;
   for (std::size_t g = 0; g < gateways; ++g) {
     auto shard = std::make_unique<Shard>();
@@ -173,7 +170,7 @@ Cluster::~Cluster() {
   }
   for (auto& shard : shards_) shard->cv.notify_all();
   for (auto& dispatcher : dispatchers_) dispatcher.join();
-  // Gateways (and their workers) die with shards_ after the dispatchers.
+  // Gateways die with shards_ after the dispatchers.
 }
 
 void Cluster::push(const container::Image& image,
@@ -234,15 +231,19 @@ std::future<ClusterRunResult> Cluster::submit(RunRequest request) {
   job.home = shard_by_name_.at(home_name);
   Shard& shard = *shards_[job.home];
 
-  // Graceful load-shedding: a full shard sheds instead of queueing
-  // unboundedly, with an estimated drain time so clients back off.
-  if (shard.pending.load(std::memory_order_acquire) >= options_.max_pending) {
+  // Graceful load-shedding: a full shard, or a cluster whose recent
+  // requests mostly fail (brownout), sheds instead of queueing, with an
+  // estimated drain time so clients back off.
+  const std::size_t backlog = shard.pending.load(std::memory_order_acquire);
+  const bool full = backlog >= options_.max_pending;
+  if (full || browned_out()) {
     shed_->add(1);
     tenant_counter(job.tenant_label, "shed").add(1);
-    complete_inline(
-        std::move(job), ErrorCode::Shed,
-        "gateway " + home_name + " backlog full (cluster overloaded)",
-        estimated_wait_seconds(options_.max_pending));
+    complete_inline(std::move(job), ErrorCode::Shed,
+                    full ? "gateway " + home_name +
+                               " backlog full (cluster overloaded)"
+                         : "request shed (failure rate over threshold)",
+                    estimated_wait_seconds(backlog));
     return future;
   }
 
@@ -260,8 +261,9 @@ std::future<ClusterRunResult> Cluster::submit(RunRequest request) {
                       "cluster is shutting down", 0.0);
       return future;
     }
+    const int priority = job.request.priority;
     shard.wfq.push_weighted(tenant_label, /*cost=*/1.0, weight,
-                            std::move(job));
+                            std::move(job), priority);
     shard.pending.fetch_add(1, std::memory_order_acq_rel);
   }
   admitted_->add(1);
@@ -296,6 +298,35 @@ double Cluster::estimated_wait_seconds(std::size_t backlog) const {
   const double dispatchers =
       static_cast<double>(options_.dispatchers_per_gateway);
   return per_request * (1.0 + static_cast<double>(backlog) / dispatchers);
+}
+
+bool Cluster::browned_out() const {
+  if (options_.shed_failure_rate <= 0.0) return false;
+  const auto total = window_total_.load(std::memory_order_relaxed);
+  if (total < options_.shed_min_samples) return false;
+  const auto failed = window_failed_.load(std::memory_order_relaxed);
+  return static_cast<double>(failed) >=
+         options_.shed_failure_rate * static_cast<double>(total);
+}
+
+void Cluster::record_outcome(bool ok) {
+  if (options_.shed_failure_rate <= 0.0) return;
+  const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       Clock::now().time_since_epoch())
+                       .count();
+  auto start = window_start_nanos_.load(std::memory_order_relaxed);
+  const auto window_nanos =
+      static_cast<std::int64_t>(options_.shed_window_seconds * 1e9);
+  if (now - start > window_nanos &&
+      window_start_nanos_.compare_exchange_strong(start, now,
+                                                  std::memory_order_relaxed)) {
+    // One completion rotates the window; concurrent completions land in
+    // the fresh window (approximate by design — shedding is advisory).
+    window_total_.store(0, std::memory_order_relaxed);
+    window_failed_.store(0, std::memory_order_relaxed);
+  }
+  window_total_.fetch_add(1, std::memory_order_relaxed);
+  if (!ok) window_failed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Cluster::try_steal(std::size_t thief, Job* out) {
@@ -401,8 +432,12 @@ void Cluster::serve(std::size_t shard_index, Job job, bool stolen) {
     }
   }
 
-  RunResult result = shard.gateway->submit(std::move(job.request)).get();
+  // Served inline: the deadline runs from cluster admission, so the WFQ
+  // wait above is charged to it.
+  RunResult result =
+      shard.gateway->serve(std::move(job.request), job.admitted);
   const double total = seconds_since(job.admitted);
+  record_outcome(result.ok);
 
   // Service-time EMA (steal profitability + retry-after hints).
   auto ema_bits = service_ema_bits_.load(std::memory_order_relaxed);

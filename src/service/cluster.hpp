@@ -1,21 +1,25 @@
 // Multi-gateway cluster: the front tier that scales the serving plane
 // past one Gateway (the "Acceleration as a Service" split — a routing
 // tier in front of many acceleration services, each owning a slice of
-// the fleet). One request travels:
+// the fleet), and the service's one admission layer. One request travels:
 //
-//   Cluster::submit(RunRequest{tenant, weight, ...})
+//   Cluster::submit(RunRequest{tenant, weight, priority, ...})
+//     ── failure-rate brownout or full shard ──> shed + retry-after, or
 //     ── per-tenant token bucket ──> quota_denied + retry-after, or
 //     ── consistent-hash ring (request class key: reference/selections/
 //        target) ──> home gateway's shard
-//     ── weighted fair queue (per-tenant WFQ, see fair_queue.hpp) ──>
-//        dispatcher ──> Gateway::submit on the shard's gateway
-//        (per-priority MPMC rings, routing, caches, execution — all the
-//        existing single-gateway machinery)
+//     ── weighted fair queue (priority first, then per-tenant WFQ, see
+//        fair_queue.hpp) ──> dispatcher ──> Gateway::serve inline on the
+//        dispatcher's thread (deadline from cluster admission, routing,
+//        caches, execution)
 //   idle dispatchers STEAL the head of the most backed-up sibling's WFQ,
 //   but only when the §6.5 bandwidth model (fabric::transfer_seconds)
 //   prices the shipment below the victim's estimated queue wait; a
 //   stolen (or hash-moved) request class lands warm on its new gateway
 //   by a modeled cross-gateway cache fill, also priced by the fabric.
+//
+// The shard WFQs are the only queues: submit() never blocks, and
+// max_pending is the one depth bound.
 //
 // Everything reconciles exactly after drain (the fairness bench gate
 // and ClusterStress assert this):
@@ -29,8 +33,9 @@
 // any thread. gateway(i) exposes the owned gateways for inspection; do
 // not mutate them while the cluster serves. Ownership: the Cluster owns
 // its gateways, dispatcher threads, quota table, and metrics registry;
-// the destructor stops admission, drains every queued job (their futures
-// complete), and joins the dispatchers before the gateways die.
+// the destructor stops admission (later submissions complete with
+// ShuttingDown), drains every queued job (their futures complete), and
+// joins the dispatchers before the gateways die.
 #pragma once
 
 #include <atomic>
@@ -101,9 +106,19 @@ struct ClusterOptions {
   /// Ring seed: identical seeds place identical request classes on
   /// identical gateways.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Per-gateway WFQ bound: a submission to a shard already holding this
-  /// many pending jobs is shed (code Shed + retry-after hint).
+  /// Per-gateway WFQ bound, the service's one depth bound: a submission
+  /// to a shard already holding this many pending jobs is shed (code Shed
+  /// + retry-after hint).
   std::size_t max_pending = 1024;
+  /// Brownout: shed new submissions when the failure rate of served
+  /// requests over the trailing window reaches this fraction. 0 (default)
+  /// disables failure-rate shedding.
+  double shed_failure_rate = 0.0;
+  /// Completions required in the window before the failure-rate rule
+  /// applies (avoids shedding on the first unlucky request).
+  std::size_t shed_min_samples = 16;
+  /// Failure-rate window length, seconds.
+  double shed_window_seconds = 1.0;
   /// Quota for tenants without an explicit entry (default: effectively
   /// unlimited — multi-tenancy is opt-in per tenant).
   TenantQuota default_quota{};
@@ -141,9 +156,7 @@ struct ClusterOptions {
   /// Registry protocol knobs. The stack is overridden with fabric_stack
   /// at construction so one knob prices all inter-gateway traffic.
   DistributionOptions distribution;
-  /// Options applied to every owned gateway. worker_threads defaults to
-  /// dispatchers_per_gateway (the dispatchers are the fan-out; a larger
-  /// inner pool would only idle).
+  /// Options applied to every owned gateway.
   GatewayOptions gateway;
 };
 
@@ -159,7 +172,7 @@ struct ClusterRunResult {
   /// shipment + cold-class cache fill), from fabric::transfer_seconds.
   double fabric_seconds = 0.0;
   /// Cluster admission to completion, wall seconds (includes the WFQ
-  /// wait, which the per-gateway total_seconds does not see).
+  /// wait, which the gateway's serve()-measured total_seconds does not).
   double total_seconds = 0.0;
 };
 
@@ -256,6 +269,10 @@ private:
   /// Estimated seconds until a shard with `backlog` pending jobs would
   /// reach a newly queued one (service-time EMA over the dispatchers).
   double estimated_wait_seconds(std::size_t backlog) const;
+  /// Whether the trailing failure rate is over shed_failure_rate.
+  bool browned_out() const;
+  /// Feed one served completion into the failure-rate window.
+  void record_outcome(bool ok);
   double now_seconds() const;
   void complete_inline(Job&& job, ErrorCode code, const std::string& error,
                        double retry_after);
@@ -292,9 +309,13 @@ private:
   std::map<std::string, std::set<std::size_t>> warm_;
 
   // Cluster-wide EMAs feeding the steal-profitability and retry-after
-  // estimates; relaxed atomics (advisory, like the gateway's).
+  // estimates, and the trailing failure-rate window (brownout); relaxed
+  // atomics — all of it is advisory.
   std::atomic<std::uint64_t> service_ema_bits_{0};  // bit_cast<double> s
   std::atomic<std::uint64_t> bytes_ema_{0};         // workload bytes
+  std::atomic<std::int64_t> window_start_nanos_{0};
+  std::atomic<std::uint64_t> window_total_{0};
+  std::atomic<std::uint64_t> window_failed_{0};
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};

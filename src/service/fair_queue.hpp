@@ -8,11 +8,11 @@
 //
 // TokenBucket / QuotaSet answer "may this tenant submit more work right
 // now" (rate * burst quotas, retry-after hints on denial);
-// WeightedFairQueue answers "whose queued job runs next" (service in
-// proportion to weight while backlogged). The cluster layers the WFQ
-// *in front of* each gateway's per-priority MPMC rings: WFQ picks the
-// tenant order, the gateway's rings keep the existing priority/FIFO
-// semantics for whatever the WFQ releases.
+// WeightedFairQueue answers "whose queued job runs next": higher request
+// priorities strictly first, then service in proportion to weight while
+// backlogged, FIFO within one tenant. The cluster's per-shard WFQ is the
+// service's only queue — its dispatchers hand each popped job straight
+// to Gateway::serve on their own thread.
 //
 // Thread-safety: TokenBucket and WeightedFairQueue are deliberately NOT
 // thread-safe (the cluster guards each shard's queue with the shard
@@ -20,13 +20,14 @@
 // is thread-safe — admission checks race across client threads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace xaas::service {
 
@@ -102,13 +103,14 @@ private:
   std::map<std::string, TokenBucket> buckets_;
 };
 
-/// Weighted fair queue (virtual-finish-time WFQ): each tenant has a FIFO
-/// backlog; pop() serves the job with the smallest virtual finish tag,
-/// so backlogged tenants receive service in proportion to their weight
-/// regardless of arrival bursts. Tags are a pure function of the
-/// push/pop sequence — identical sequences drain in identical order
-/// (ties break on (finish tag, tenant name), never on clocks or
-/// addresses).
+/// Weighted fair queue (virtual-finish-time WFQ) with strict priority
+/// levels: pop() serves the highest priority that holds a job, and within
+/// it the job with the smallest virtual finish tag, so backlogged tenants
+/// receive service in proportion to their weight regardless of arrival
+/// bursts. Each priority level keeps its own virtual clock; with every job
+/// at one priority this is plain WFQ. Tags are a pure function of the
+/// push/pop sequence — identical sequences drain in identical order (ties
+/// break on (finish tag, tenant name), never on clocks or addresses).
 ///
 /// Virtual time advances to the start tag of each served job; an idle
 /// tenant's next job starts at max(virtual time, its last finish), so
@@ -118,7 +120,7 @@ class WeightedFairQueue {
 public:
   /// Set (or change) a tenant's weight; affects jobs pushed afterwards.
   void set_weight(const std::string& tenant, double weight) {
-    state_for(tenant, weight).weight = weight > 0.0 ? weight : 1.0;
+    weights_[tenant] = weight > 0.0 ? weight : 1.0;
   }
 
   /// Enqueue one job of `cost` virtual units for `tenant`.
@@ -126,66 +128,57 @@ public:
     push_weighted(tenant, cost, 0.0, std::move(value));
   }
 
-  /// Enqueue with a per-job weight override (0 = the tenant's weight).
+  /// Enqueue with a per-job weight override (0 = the tenant's weight) at
+  /// `priority` (higher drains first).
   void push_weighted(const std::string& tenant, double cost, double weight,
-                     T value) {
-    Tenant& state = state_for(tenant, /*weight=*/0.0);
-    const double w = weight > 0.0 ? weight : state.weight;
-    const double start =
-        state.last_finish > virtual_time_ ? state.last_finish : virtual_time_;
+                     T value, int priority = 0) {
+    Level& level = levels_[priority];
+    Tenant& state = level.tenants[tenant];
+    double w = weight;
+    if (w <= 0.0) {
+      const auto it = weights_.find(tenant);
+      w = it == weights_.end() ? 1.0 : it->second;
+    }
+    const double start = std::max(state.last_finish, level.virtual_time);
     const double finish = start + (cost > 0.0 ? cost : 1e-9) / w;
     state.last_finish = finish;
     state.backlog.push_back(Item{start, finish, std::move(value)});
+    ++level.size;
     ++size_;
   }
 
-  /// Dequeue the job with the smallest finish tag. Returns false when
-  /// empty. On success fills `*out` and (when non-null) `*tenant`.
+  /// Dequeue the job with the smallest finish tag at the highest
+  /// non-empty priority. Returns false when empty. On success fills
+  /// `*out` and (when non-null) `*tenant`.
   bool pop(T* out, std::string* tenant = nullptr) {
-    const Tenant* best = nullptr;
-    const std::string* best_name = nullptr;
-    for (const auto& [name, state] : tenants_) {
-      if (state.backlog.empty()) continue;
-      if (best == nullptr ||
-          state.backlog.front().finish < best->backlog.front().finish) {
-        best = &state;
-        best_name = &name;
+    for (auto& [priority, level] : levels_) {
+      if (level.size == 0) continue;
+      Tenant* best = nullptr;
+      const std::string* best_name = nullptr;
+      for (auto& [name, state] : level.tenants) {
+        if (state.backlog.empty()) continue;
+        // Equal tags: std::map iteration is name-ascending, so the first
+        // seen wins — deterministic without comparing anything else.
+        if (best == nullptr ||
+            state.backlog.front().finish < best->backlog.front().finish) {
+          best = &state;
+          best_name = &name;
+        }
       }
-      // Equal tags: std::map iteration is name-ascending, so the first
-      // seen wins — deterministic without comparing anything else.
+      Item item = std::move(best->backlog.front());
+      best->backlog.pop_front();
+      --level.size;
+      --size_;
+      if (item.start > level.virtual_time) level.virtual_time = item.start;
+      if (tenant != nullptr) *tenant = *best_name;
+      *out = std::move(item.value);
+      return true;
     }
-    if (best == nullptr) return false;
-    Tenant& state = tenants_.at(*best_name);
-    Item item = std::move(state.backlog.front());
-    state.backlog.pop_front();
-    --size_;
-    if (item.start > virtual_time_) virtual_time_ = item.start;
-    if (tenant != nullptr) *tenant = *best_name;
-    *out = std::move(item.value);
-    return true;
-  }
-
-  /// Peek the finish tag of the next job to be served (the steal
-  /// protocol compares backlogs). Returns false when empty.
-  bool head_finish(double* finish) const {
-    bool any = false;
-    for (const auto& [name, state] : tenants_) {
-      if (state.backlog.empty()) continue;
-      if (!any || state.backlog.front().finish < *finish) {
-        *finish = state.backlog.front().finish;
-        any = true;
-      }
-    }
-    return any;
+    return false;
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  std::size_t tenant_depth(const std::string& tenant) const {
-    const auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? 0 : it->second.backlog.size();
-  }
 
 private:
   struct Item {
@@ -194,23 +187,19 @@ private:
     T value;
   };
   struct Tenant {
-    double weight = 1.0;
     double last_finish = 0.0;
     std::deque<Item> backlog;
   };
+  /// One priority's WFQ. Levels live as long as the queue, like tenants,
+  /// so a level that drains keeps its virtual clock.
+  struct Level {
+    std::map<std::string, Tenant> tenants;
+    double virtual_time = 0.0;
+    std::size_t size = 0;
+  };
 
-  Tenant& state_for(const std::string& tenant, double weight) {
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) {
-      Tenant fresh;
-      if (weight > 0.0) fresh.weight = weight;
-      it = tenants_.emplace(tenant, std::move(fresh)).first;
-    }
-    return it->second;
-  }
-
-  std::map<std::string, Tenant> tenants_;
-  double virtual_time_ = 0.0;
+  std::map<int, Level, std::greater<int>> levels_;  // highest first
+  std::map<std::string, double> weights_;
   std::size_t size_ = 0;
 };
 

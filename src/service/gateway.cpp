@@ -1,8 +1,8 @@
 #include "service/gateway.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
+#include <thread>
 
 #include "common/sha256.hpp"
 #include "container/image.hpp"
@@ -86,8 +86,8 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
       }()),
       farm_(registry_,
             [&] {
-              // The gateway's workers carry the fan-out; an inner pool at
-              // hardware concurrency would only idle.
+              // serve() deploys synchronously on the caller's thread; an
+              // inner pool at hardware concurrency would only idle.
               BuildFarmOptions farm_options = options_.farm;
               if (farm_options.threads == 0) farm_options.threads = 1;
               farm_options.artifact_store = artifact_store_.get();
@@ -101,23 +101,13 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
         sched_options.distribution = peer_.get();
         return sched_options;
       }()) {
-  // A zero bound would make every blocking submit() unsatisfiable.
-  if (options_.max_queue == 0) options_.max_queue = 1;
-  requests_ = &metrics_.counter("gateway.requests");
-  admitted_ = &metrics_.counter("gateway.admitted");
-  rejected_ = &metrics_.counter("gateway.rejected");
-  shed_ = &metrics_.counter("gateway.shed");
   completed_ = &metrics_.counter("gateway.completed");
   failed_ = &metrics_.counter("gateway.failed");
-  backpressure_waits_ = &metrics_.counter("gateway.backpressure_waits");
   retries_ = &metrics_.counter("gateway.retries");
   breaker_open_ = &metrics_.counter("gateway.breaker_open");
   deadline_exceeded_ = &metrics_.counter("gateway.deadline_exceeded");
   vm_runs_ = &metrics_.counter("vm.runs");
   vm_instructions_ = &metrics_.counter("vm.instructions");
-  queue_depth_ = &metrics_.gauge("gateway.queue_depth");
-  in_flight_ = &metrics_.gauge("gateway.in_flight");
-  queue_hist_ = &metrics_.histogram("gateway.queue_seconds");
   deploy_hist_ = &metrics_.histogram("gateway.deploy_seconds");
   run_hist_ = &metrics_.histogram("gateway.run_seconds");
   total_hist_ = &metrics_.histogram("gateway.total_seconds");
@@ -210,264 +200,35 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
     table->nodes.resize(fleet_.size());
     route_table_.store(std::move(table));
   }
-
-  std::size_t worker_count = options_.worker_threads;
-  if (worker_count == 0) {
-    worker_count = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(worker_count);
-  for (std::size_t i = 0; i < worker_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
 }
 
-Gateway::~Gateway() {
-  stop_.store(true, std::memory_order_seq_cst);
-  {
-    // Empty critical section: serializes with a worker/submitter that
-    // checked the predicate but has not yet slept, so the notify below
-    // cannot be lost.
-    std::lock_guard lock(wait_mutex_);
-  }
-  cv_workers_.notify_all();
-  cv_space_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-std::future<RunResult> Gateway::submit(RunRequest request) {
-  return submit_impl(std::move(request), /*never_block=*/false);
-}
-
-std::vector<std::future<RunResult>> Gateway::submit_batch(
-    std::vector<RunRequest> requests) {
-  std::vector<std::future<RunResult>> futures;
-  futures.reserve(requests.size());
-  for (auto& request : requests) {
-    futures.push_back(submit_impl(std::move(request), /*never_block=*/true));
-  }
-  return futures;
-}
-
-std::future<RunResult> Gateway::submit_impl(RunRequest request,
-                                            bool never_block) {
-  requests_->add(1);
-  std::promise<RunResult> promise;
-  auto future = promise.get_future();
-
-  if (stop_.load(std::memory_order_acquire)) {
-    promise.set_value(reject(request, ErrorCode::ShuttingDown,
-                             "gateway is shutting down"));
-    return future;
-  }
-  if (should_shed()) {
-    promise.set_value(shed(request, retry_after_hint()));
-    return future;
-  }
-
-  // Lock-free admission ticket: queued_ (incremented here, decremented
-  // after a worker pops) enforces max_queue across every class ring, so
-  // a won ticket's push below can never find its ring full.
-  bool counted_wait = false;
-  for (;;) {
-    std::size_t depth = queued_.load(std::memory_order_acquire);
-    if (depth >= options_.max_queue) {
-      if (options_.reject_on_full) {
-        promise.set_value(reject(
-            request, ErrorCode::QueueFull,
-            "gateway queue full (" + std::to_string(options_.max_queue) +
-                " requests waiting)",
-            retry_after_hint()));
-        return future;
-      }
-      if (never_block) {
-        // Partial-batch degradation: the caller asked never to stall, so
-        // the requests that do not fit are shed rather than queued.
-        promise.set_value(shed(request, retry_after_hint()));
-        return future;
-      }
-      if (!counted_wait) {
-        counted_wait = true;  // once per submission, not per wakeup
-        backpressure_waits_->add(1);
-      }
-      std::unique_lock lock(wait_mutex_);
-      cv_space_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               queued_.load(std::memory_order_acquire) < options_.max_queue;
-      });
-      if (stop_.load(std::memory_order_acquire)) {
-        lock.unlock();
-        promise.set_value(reject(request, ErrorCode::ShuttingDown,
-                                 "gateway is shutting down"));
-        return future;
-      }
-      continue;  // room may be gone again by the time we re-ticket
-    }
-    if (queued_.compare_exchange_weak(depth, depth + 1,
-                                      std::memory_order_acq_rel)) {
-      break;
-    }
-  }
-
-  admitted_->add(1);
-  queue_depth_->add(1);
+RunResult Gateway::serve(RunRequest request, Clock::time_point admitted) {
+  const auto entered = Clock::now();
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Job job{std::move(request), std::move(promise), Clock::now(), seq};
-  const std::int64_t priority = job.request.priority;
-  common::MpmcRing<Job>* ring = ring_for(priority);
-  // Cannot fail: queued_ <= max_queue <= every ring's capacity.
-  while (!ring->try_push(std::move(job))) {
+  const Deadline deadline =
+      request.deadline_seconds > 0.0
+          ? Deadline::after(request.deadline_seconds, admitted)
+          : Deadline();
+  RunResult result;
+  if (deadline.expired(entered)) {
+    // The budget ran out while queued: fail fast, never start work.
+    deadline_exceeded_->add(1);
+    result.code = ErrorCode::DeadlineExceeded;
+    result.error = "deadline exceeded while queued";
+  } else {
+    result = execute(request, deadline, seq);
   }
-  {
-    // Serialize with a worker deciding to sleep (see ~Gateway).
-    std::lock_guard lock(wait_mutex_);
-  }
-  cv_workers_.notify_one();
-  return future;
-}
-
-common::MpmcRing<Gateway::Job>* Gateway::ring_for(std::int64_t priority) {
-  {
-    const auto table = class_table_.read();
-    for (ClassRing* cls : *table) {
-      if (cls->priority == priority) return &cls->ring;
-    }
-  }
-  std::lock_guard lock(class_mutex_);
-  {
-    const auto table = class_table_.read();  // re-check under the lock
-    for (ClassRing* cls : *table) {
-      if (cls->priority == priority) return &cls->ring;
-    }
-  }
-  class_storage_.push_back(
-      std::make_unique<ClassRing>(priority, options_.max_queue));
-  ClassRing* fresh = class_storage_.back().get();
-  class_table_.update([&](ClassTable& table) {
-    table.push_back(fresh);
-    std::sort(table.begin(), table.end(),
-              [](const ClassRing* a, const ClassRing* b) {
-                return a->priority > b->priority;
-              });
-  });
-  return &fresh->ring;
-}
-
-bool Gateway::try_dequeue(Job& out, DrainState& drain) {
-  const auto table = class_table_.read();
-  const ClassTable& classes = *table;
-  const std::size_t n = classes.size();
-  if (n == 0) return false;
-  std::size_t start = 0;
-  if (options_.drain_quantum > 0 && drain.streak >= options_.drain_quantum) {
-    // This worker has drained a full quantum from one class: offer the
-    // next lower class the first shot this round (weighted drain).
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      if (classes[i]->priority == drain.last_priority) {
-        start = i + 1;
-        break;
-      }
-    }
-    drain.streak = 0;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = (start + k) % n;
-    if (classes[i]->ring.try_pop(out)) {
-      if (classes[i]->priority == drain.last_priority) {
-        ++drain.streak;
-      } else {
-        drain.last_priority = classes[i]->priority;
-        drain.streak = 1;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Gateway::should_shed() const {
-  if (options_.shed_queue_fraction > 0.0 &&
-      static_cast<double>(queued_.load(std::memory_order_acquire)) >=
-          options_.shed_queue_fraction *
-              static_cast<double>(options_.max_queue)) {
-    return true;
-  }
-  if (options_.shed_failure_rate > 0.0) {
-    const auto total = window_total_.load(std::memory_order_relaxed);
-    if (total >= options_.shed_min_samples) {
-      const auto failed = window_failed_.load(std::memory_order_relaxed);
-      if (static_cast<double>(failed) >=
-          options_.shed_failure_rate * static_cast<double>(total)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-double Gateway::retry_after_hint() const {
-  // Estimated drain time of the current backlog: recent per-request
-  // service time (EMA; 1 ms floor before any completion) spread over the
-  // workers, plus one service slot for the retried request itself.
-  const double ema = std::bit_cast<double>(
-      service_ema_bits_.load(std::memory_order_relaxed));
-  const double per_request = ema > 0.0 ? ema : 1e-3;
-  const double workers =
-      static_cast<double>(std::max<std::size_t>(1, workers_.size()));
-  const double depth =
-      static_cast<double>(queued_.load(std::memory_order_acquire));
-  return per_request * (1.0 + depth / workers);
-}
-
-void Gateway::record_completion(bool ok, double total_seconds) {
-  // Service-time EMA (retry_after hint): seeded by the first completion.
-  auto bits = service_ema_bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    const double current = std::bit_cast<double>(bits);
-    const double next =
-        current == 0.0 ? total_seconds : current * 0.9 + total_seconds * 0.1;
-    if (service_ema_bits_.compare_exchange_weak(
-            bits, std::bit_cast<std::uint64_t>(next),
-            std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  if (options_.shed_failure_rate <= 0.0) return;
-  const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       Clock::now().time_since_epoch())
-                       .count();
-  auto start = window_start_nanos_.load(std::memory_order_relaxed);
-  const auto window_nanos =
-      static_cast<std::int64_t>(options_.shed_window_seconds * 1e9);
-  if (now - start > window_nanos &&
-      window_start_nanos_.compare_exchange_strong(start, now,
-                                                  std::memory_order_relaxed)) {
-    // One completion rotates the window; concurrent completions land in
-    // the fresh window (approximate by design — shedding is advisory).
-    window_total_.store(0, std::memory_order_relaxed);
-    window_failed_.store(0, std::memory_order_relaxed);
-  }
-  window_total_.fetch_add(1, std::memory_order_relaxed);
-  if (!ok) window_failed_.fetch_add(1, std::memory_order_relaxed);
+  result.total_seconds = seconds_since(entered);
+  total_hist_->observe(result.total_seconds);
+  (result.ok ? completed_ : failed_)->add(1);
+  result.completion_seq = completion_seq_.fetch_add(1) + 1;
+  return result;
 }
 
 void Gateway::observe_fault_plan(fault::FaultPlan& plan) {
   plan.set_observer([this](std::string_view site) {
     metrics_.counter("fault." + std::string(site)).add(1);
   });
-}
-
-std::vector<RunResult> Gateway::run_all(std::vector<RunRequest> requests) {
-  std::vector<std::future<RunResult>> futures;
-  futures.reserve(requests.size());
-  for (auto& request : requests) futures.push_back(submit(std::move(request)));
-  std::vector<RunResult> results;
-  results.reserve(futures.size());
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
-}
-
-std::size_t Gateway::queue_depth() const {
-  return queued_.load(std::memory_order_acquire);
 }
 
 telemetry::MetricsSnapshot Gateway::snapshot() const {
@@ -492,88 +253,6 @@ telemetry::MetricsSnapshot Gateway::snapshot() const {
     snap.counters["distribution.verify_rejects"] = stats.verify_rejects;
   }
   return snap;
-}
-
-void Gateway::worker_loop() {
-  DrainState drain;
-  for (;;) {
-    Job job;
-    // Fast path: pop without touching the wait mutex.
-    bool got = try_dequeue(job, drain);
-    if (!got) {
-      std::unique_lock lock(wait_mutex_);
-      cv_workers_.wait(lock, [&] {
-        if ((got = try_dequeue(job, drain))) return true;
-        // Exit only once stopping AND no ticket is outstanding (a
-        // ticketed job may still be in flight between CAS and push).
-        return stop_.load(std::memory_order_acquire) &&
-               queued_.load(std::memory_order_acquire) == 0;
-      });
-      if (!got) return;  // stop_ set and nothing left to drain
-    }
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      // Serialize with a submitter deciding to block (see ~Gateway).
-      std::lock_guard space_lock(wait_mutex_);
-    }
-    cv_space_.notify_one();
-    // During shutdown, peers sleep until queued_ drains to zero — the
-    // worker that took the last job must wake them to exit.
-    if (stop_.load(std::memory_order_acquire)) cv_workers_.notify_all();
-    queue_depth_->add(-1);
-    in_flight_->add(1);
-    // Queue wait is admission→dequeue, measured here so resolve/routing
-    // overheads inside execute() are never misattributed to the queue.
-    const double queue_seconds = seconds_since(job.admitted);
-
-    RunResult result;
-    if (job.request.deadline_seconds > 0.0 &&
-        queue_seconds >= job.request.deadline_seconds) {
-      // The budget ran out while queued: fail fast, never start work.
-      deadline_exceeded_->add(1);
-      result.code = ErrorCode::DeadlineExceeded;
-      result.error = "deadline exceeded while queued";
-    } else {
-      result = execute(job.request, job.admitted, job.seq);
-    }
-    result.total_seconds = seconds_since(job.admitted);
-    result.queue_seconds = queue_seconds;
-    queue_hist_->observe(result.queue_seconds);
-    total_hist_->observe(result.total_seconds);
-    (result.ok ? completed_ : failed_)->add(1);
-    record_completion(result.ok, result.total_seconds);
-
-    in_flight_->add(-1);
-    finish(std::move(job), std::move(result));
-  }
-}
-
-void Gateway::finish(Job job, RunResult result) {
-  result.completion_seq = completion_seq_.fetch_add(1) + 1;
-  job.promise.set_value(std::move(result));
-}
-
-RunResult Gateway::reject(RunRequest& request, ErrorCode code,
-                          const std::string& reason, double retry_after) {
-  (void)request;
-  rejected_->add(1);
-  RunResult result;
-  result.code = code;
-  result.error = reason;
-  result.retry_after_seconds = retry_after;
-  result.completion_seq = completion_seq_.fetch_add(1) + 1;
-  return result;
-}
-
-RunResult Gateway::shed(const RunRequest& request, double retry_after) {
-  (void)request;
-  shed_->add(1);
-  RunResult result;
-  result.code = ErrorCode::Shed;
-  result.error = "request shed (gateway overloaded)";
-  result.retry_after_seconds = retry_after;
-  result.completion_seq = completion_seq_.fetch_add(1) + 1;
-  return result;
 }
 
 void Gateway::publish_route_state(std::size_t node_index, bool open,
@@ -668,13 +347,9 @@ bool Gateway::backoff_for_retry(RunResult& out, ErrorCode code,
   return true;
 }
 
-RunResult Gateway::execute(RunRequest& request, Clock::time_point admitted,
+RunResult Gateway::execute(RunRequest& request, const Deadline& deadline,
                            std::uint64_t seq) {
   RunResult out;
-  const Deadline deadline = request.deadline_seconds > 0.0
-                                ? Deadline::after(request.deadline_seconds,
-                                                  admitted)
-                                : Deadline();
 
   const auto digest = registry_.resolve(request.image_reference);
   if (!digest) {
@@ -685,7 +360,7 @@ RunResult Gateway::execute(RunRequest& request, Clock::time_point admitted,
   const auto image = registry_.pull(*digest);  // shared, no layer copy
 
   // Decorrelate backoff jitter across requests while keeping one
-  // request's schedule a pure function of its admission order.
+  // request's schedule a pure function of its serve() order.
   const std::uint64_t jitter_seed = (seq + 1) * 0x9e3779b97f4a7c15ULL;
   // Inherited single-flight failures (a waiter that joined a failing
   // leader) retry immediately without consuming attempts — but bounded,

@@ -5,17 +5,21 @@
 // the node it picks, runs the workload, and answers with numerics plus a
 // structured account of where the time went and which caches hit.
 //
-// One request travels:
+// One request travels, on the caller's thread:
 //
-//   submit() ── admission ──> per-class MPMC rings ── worker ──> routing
-//     (bounded, backpressure)    (priority desc,          (ISA compatibility +
-//                                 FIFO within a class)     least current load,
-//                                                          one epoch snapshot)
+//   serve() ── routing (ISA compatibility + least current load, one
+//              epoch snapshot of the breakers)
 //        ──> deploy (DeployScheduler/BuildFarm; SpecializationCache and
 //             CompileCache make repeat specializations ~free)
 //        ──> run (pre-decoded program on the routed node, per-run stats
 //             hook into telemetry)
 //        ──> RunResult {numerics digest, per-stage latencies, cache hits}
+//
+// The gateway owns no queue and starts no worker threads: admission,
+// priority, fair share, shedding and backpressure belong to the one
+// admission layer in front of it, the Cluster (service/cluster.hpp). A
+// standalone deployment is a one-gateway Cluster, or a sequential caller
+// of serve().
 //
 // Everything the gateway and the caches do is measured into a
 // telemetry::MetricsRegistry (see telemetry.hpp); snapshot() exposes it.
@@ -23,18 +27,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/mpmc_ring.hpp"
 #include "common/rcu.hpp"
 #include "service/build_farm.hpp"
 #include "service/deploy_scheduler.hpp"
@@ -61,16 +60,18 @@ struct RunRequest {
   bool auto_specialize = true;  // source path only
   vm::Workload workload;
   int threads = 1;
-  /// Admission priority: higher runs first; FIFO within one priority.
+  /// Cluster WFQ priority: higher priorities are served strictly first;
+  /// within one priority tenants share by weight, each tenant FIFO.
   int priority = 0;
-  /// Total wall-clock budget in seconds, measured from admission
-  /// (0 = no deadline). Checked at dequeue, before each attempt, before
+  /// Total wall-clock budget in seconds, measured from admission — the
+  /// Cluster's submit(), or the `admitted` time given to serve()
+  /// (0 = no deadline). Checked at dispatch, before each attempt, before
   /// the run, and before every backoff sleep; work already in flight is
   /// never preempted.
   double deadline_seconds = 0.0;
 
-  // Multi-tenancy (consumed by the cluster front tier,
-  // service/cluster.hpp — a single Gateway ignores both fields).
+  // Admission inputs (consumed by the Cluster, service/cluster.hpp;
+  // Gateway::serve ignores priority, tenant and weight).
   /// Tenant identity for quota and fair-share accounting; "" is the
   /// anonymous default tenant.
   std::string tenant;
@@ -87,11 +88,11 @@ struct RunResult {
   /// this, never on the error string. is_retryable(code) says whether
   /// resubmitting can help.
   ErrorCode code = ErrorCode::Ok;
-  /// For QueueFull/Shed completions: suggested wait before resubmitting,
-  /// seconds (estimated queue drain time); 0 when not applicable.
+  /// For Shed/QuotaExceeded completions: suggested wait before
+  /// resubmitting, seconds; 0 when not applicable.
   double retry_after_seconds = 0.0;
-  /// Deploy+run attempts consumed (0 when the request never left the
-  /// queue). attempts - 1 retries were granted by the retry policy.
+  /// Deploy+run attempts consumed (0 when the request never started).
+  /// attempts - 1 retries were granted by the retry policy.
   int attempts = 0;
 
   std::string node_name;      // fleet node the request ran on
@@ -109,13 +110,16 @@ struct RunResult {
   std::string numerics_digest;
 
   // Per-stage wall-clock latencies, seconds.
-  double queue_seconds = 0.0;   // admission to dequeue by a worker
+  /// Always 0: the gateway holds no queue (the wait before serve() is the
+  /// Cluster's, see ClusterRunResult::total_seconds). Kept only because
+  /// the frozen perfbench harness reads it.
+  double queue_seconds = 0.0;
   double deploy_seconds = 0.0;  // specialize (cache hit or lower/build)
   double run_seconds = 0.0;     // VM execution
-  double total_seconds = 0.0;   // admission to completion
+  double total_seconds = 0.0;   // serve() entry to completion
 
-  /// Global completion order (1, 2, ...) — the observable the priority
-  /// tests and request logs sort by.
+  /// This gateway's completion order (1, 2, ...) — the observable the
+  /// priority tests and request logs sort by.
   std::uint64_t completion_seq = 0;
 };
 
@@ -126,16 +130,10 @@ std::string numerics_digest(const vm::RunResult& run,
                             const vm::Workload& workload);
 
 struct GatewayOptions {
-  /// Worker threads executing requests (0 = hardware concurrency). The
-  /// gateway's workers are the fan-out; the inner scheduler/farm pools
-  /// are left at 1 thread unless explicitly set.
-  std::size_t worker_threads = 0;
-  /// Admitted-but-not-started bound, clamped to >= 1 (a zero bound
-  /// would make blocking submission unsatisfiable). At the bound,
-  /// submit() blocks (backpressure) or, with reject_on_full, completes
-  /// the future immediately with an error.
+  /// Unused: the gateway holds no queue, and the Cluster's max_pending is
+  /// the one depth bound. Kept only because the frozen perfbench harness
+  /// sets it.
   std::size_t max_queue = 256;
-  bool reject_on_full = false;
   /// Persistent artifact store directory. When non-empty the gateway
   /// owns an ArtifactStore rooted there and installs it as the disk tier
   /// under both specialization caches and the farm's TU caches — a
@@ -156,8 +154,9 @@ struct GatewayOptions {
   /// shard name); defaults to "gateway" when empty.
   std::string distribution_name;
   /// Forwarded to the owned DeployScheduler / BuildFarm (their `threads`
-  /// fields default to 1 here — see worker_threads; their
-  /// `artifact_store` pointers are overwritten with the owned store).
+  /// fields default to 1 here — serve() deploys synchronously on the
+  /// caller's thread; their `artifact_store` pointers are overwritten
+  /// with the owned store).
   DeploySchedulerOptions scheduler;
   BuildFarmOptions farm;
   /// Retry policy for transient deploy/run failures (max_attempts = 1
@@ -166,42 +165,24 @@ struct GatewayOptions {
   RetryPolicy retry;
   /// Per-fleet-node circuit breaker configuration.
   CircuitBreaker::Options breaker;
-  /// Graceful degradation: shed new submissions (code Shed + retry_after
-  /// hint, distinct from rejected) when the queue holds more than this
-  /// fraction of max_queue. 0 (default) disables depth shedding.
-  double shed_queue_fraction = 0.0;
-  /// Shed when the failure rate over the trailing window exceeds this
-  /// fraction. 0 (default) disables failure-rate shedding.
-  double shed_failure_rate = 0.0;
-  /// Completions required in the window before the failure-rate rule
-  /// applies (avoids shedding on the first unlucky request).
-  std::size_t shed_min_samples = 16;
-  /// Failure-rate window length, seconds.
-  double shed_window_seconds = 1.0;
-  /// Weighted priority drain: after this many consecutive dequeues from
-  /// one priority class, a worker offers the next lower class one
-  /// dequeue before returning to the top — bounds starvation of low
-  /// classes under a sustained high-priority stream. 0 (the default)
-  /// keeps strict priority order (higher always drains first).
-  std::size_t drain_quantum = 0;
 };
 
 /// The serving gateway. Owns the registry, the deploy services, the node
-/// fleet, and the telemetry registry; serves submit() end to end.
+/// fleet, and the telemetry registry; serve() takes one request end to
+/// end on the calling thread.
 ///
-/// Thread-safety: submit(), run_all(), snapshot(), queue_depth(), and
-/// registry()/metrics() access are safe from any thread. scheduler() and
-/// farm() expose the owned services for inspection (their const stats
-/// accessors are safe concurrently); do not mutate them while the
-/// gateway is serving.
+/// Thread-safety: serve(), snapshot(), and registry()/metrics() access
+/// are safe from any thread (the Cluster's dispatchers call serve()
+/// concurrently). scheduler() and farm() expose the owned services for
+/// inspection (their const stats accessors are safe concurrently); do not
+/// mutate them while the gateway is serving.
 /// Ownership: the Gateway owns everything it exposes — references
 /// returned by registry()/scheduler()/farm()/metrics() are valid for the
-/// gateway's lifetime. The destructor stops admission, drains every
-/// queued request (their futures complete), and joins the workers.
+/// gateway's lifetime. Destroy it only after every serve() call returned.
 ///
 /// Telemetry names reported (see docs/SERVICE.md "Telemetry"):
-///   counters   gateway.{requests,admitted,rejected,shed,completed,failed,
-///              backpressure_waits,retries,breaker_open,deadline_exceeded},
+///   counters   gateway.{completed,failed,retries,breaker_open,
+///              deadline_exceeded},
 ///              spec_cache.{hits,disk_hits,misses,deploy_failures},
 ///              tu_cache.{hits,disk_hits,compiles},
 ///              artifact_store.{disk_hits,disk_misses,writes,evictions,
@@ -213,17 +194,16 @@ struct GatewayOptions {
 ///              fault.<site> (via observe_fault_plan)
 ///              epoch.{swaps,deferred_frees} (RCU reclamation, overlaid
 ///              by snapshot() from the process-wide epoch domain)
-///   gauges     gateway.queue_depth, gateway.in_flight
-///   histograms gateway.{queue,deploy,run,total}_seconds,
+///   histograms gateway.{deploy,run,total}_seconds,
 ///              spec_cache.lowering_seconds, tu_cache.compile_seconds
-/// After the queue drains: requests == admitted + rejected + shed and
-/// admitted == completed + failed == gateway.total_seconds count —
-/// exactly, including across the per-class admission rings.
+/// After every serve() returned: completed + failed ==
+/// gateway.total_seconds count == serve() calls, exactly.
 class Gateway {
 public:
+  using Clock = std::chrono::steady_clock;
+
   explicit Gateway(std::vector<vm::NodeSpec> fleet,
                    GatewayOptions options = {});
-  ~Gateway();
 
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
@@ -234,19 +214,13 @@ public:
     return registry_.push(image, reference);
   }
 
-  /// Submit one request; the future completes when the request finishes
-  /// (also on failure/rejection — never check .valid(), check .ok).
-  std::future<RunResult> submit(RunRequest request);
-
-  /// Submit a batch and wait; results are returned in request order.
-  std::vector<RunResult> run_all(std::vector<RunRequest> requests);
-
-  /// Submit a batch without ever blocking the caller: a request that
-  /// would wait for queue space is shed (code Shed + retry_after hint)
-  /// instead, so an overload spike degrades to a partial batch rather
-  /// than a stalled client. Futures are returned in request order.
-  std::vector<std::future<RunResult>> submit_batch(
-      std::vector<RunRequest> requests);
+  /// Serve one request on the calling thread: route, deploy, run (with
+  /// retries and breakers), digest. Always returns a structured result.
+  /// `admitted` starts the request's deadline clock — the Cluster passes
+  /// its admission time, so time spent queued there is charged; a budget
+  /// already spent on entry fails with DeadlineExceeded, attempts 0, and
+  /// nothing deployed.
+  RunResult serve(RunRequest request, Clock::time_point admitted = Clock::now());
 
   /// The circuit breaker guarding fleet()[index] (exposed for tests).
   const CircuitBreaker& node_breaker(std::size_t index) const {
@@ -256,9 +230,6 @@ public:
   /// Mirror the plan's injected faults into this gateway's metrics as
   /// "fault.<site>" counters. Call before serving under the plan.
   void observe_fault_plan(fault::FaultPlan& plan);
-
-  /// Admitted-but-not-started requests right now.
-  std::size_t queue_depth() const;
 
   /// Point-in-time view of every metric, including the process-wide
   /// epoch-reclamation counters (epoch.swaps, epoch.deferred_frees).
@@ -277,38 +248,10 @@ public:
   DistributionPeer* distribution() { return peer_.get(); }
 
 private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Job {
-    RunRequest request;
-    std::promise<RunResult> promise;
-    Clock::time_point admitted;
-    /// Admission sequence number; seeds the per-request backoff jitter.
-    std::uint64_t seq = 0;
-  };
-
   /// Per-node in-flight count, cache-line-padded (routing reads all,
-  /// workers write their own).
+  /// serving threads write their own).
   struct alignas(64) NodeLoad {
     std::atomic<int> active{0};
-  };
-
-  /// One bounded MPMC ring per priority value, FIFO within the class.
-  /// Classes are created on demand, owned forever (class_storage_), and
-  /// published to workers through an RCU snapshot sorted by descending
-  /// priority — admission and drain never take a queue-wide lock.
-  struct ClassRing {
-    ClassRing(std::int64_t priority_, std::size_t capacity)
-        : priority(priority_), ring(capacity) {}
-    const std::int64_t priority;
-    common::MpmcRing<Job> ring;
-  };
-  using ClassTable = std::vector<ClassRing*>;
-
-  /// Per-worker weighted-drain state (see GatewayOptions::drain_quantum).
-  struct DrainState {
-    std::int64_t last_priority = 0;
-    std::size_t streak = 0;
   };
 
   /// Routing-epoch view of the breaker fleet: `open` nodes cooling until
@@ -324,13 +267,6 @@ private:
     std::vector<Node> nodes;
   };
 
-  void worker_loop();
-  std::future<RunResult> submit_impl(RunRequest request, bool never_block);
-  /// Ring for `priority`, creating (and publishing) the class on first use.
-  common::MpmcRing<Job>* ring_for(std::int64_t priority);
-  /// Pop the next job honoring priority order (strict, or weighted when
-  /// drain_quantum > 0). Lock-free: pins the class table and scans.
-  bool try_dequeue(Job& out, DrainState& drain);
   /// Publish a node's breaker transition into the routing snapshot.
   void publish_route_state(std::size_t node_index, bool open,
                            Clock::time_point open_until);
@@ -341,7 +277,7 @@ private:
   /// node's breaker is open right now (transient).
   int route(const container::Image& image, const RunRequest& request,
             Clock::time_point now, bool* any_compatible);
-  RunResult execute(RunRequest& request, Clock::time_point admitted,
+  RunResult execute(RunRequest& request, const Deadline& deadline,
                     std::uint64_t seq);
   /// Sleep-and-continue decision after a transient failure: returns true
   /// when a retry was granted (counting gateway.retries), false when the
@@ -350,17 +286,6 @@ private:
                          const std::string& error, int charged_attempts,
                          std::uint64_t jitter_seed, const Deadline& deadline,
                          bool immediate);
-  RunResult reject(RunRequest& request, ErrorCode code,
-                   const std::string& reason, double retry_after = 0.0);
-  RunResult shed(const RunRequest& request, double retry_after);
-  /// Whether admission should shed right now (queue fraction or trailing
-  /// failure rate over threshold). Lock-free.
-  bool should_shed() const;
-  /// Estimated queue drain time — the retry_after hint. Lock-free.
-  double retry_after_hint() const;
-  /// Feed the failure-rate window and the service-time EMA.
-  void record_completion(bool ok, double total_seconds);
-  void finish(Job job, RunResult result);
 
   GatewayOptions options_;
   std::vector<vm::NodeSpec> fleet_;
@@ -368,21 +293,13 @@ private:
   // metrics_ precedes the services so the observers installed on their
   // caches (which reference these instruments) die after the services.
   telemetry::MetricsRegistry metrics_;
-  telemetry::Counter* requests_ = nullptr;
-  telemetry::Counter* admitted_ = nullptr;
-  telemetry::Counter* rejected_ = nullptr;
-  telemetry::Counter* shed_ = nullptr;
   telemetry::Counter* completed_ = nullptr;
   telemetry::Counter* failed_ = nullptr;
-  telemetry::Counter* backpressure_waits_ = nullptr;
   telemetry::Counter* retries_ = nullptr;
   telemetry::Counter* breaker_open_ = nullptr;
   telemetry::Counter* deadline_exceeded_ = nullptr;
   telemetry::Counter* vm_runs_ = nullptr;
   telemetry::Counter* vm_instructions_ = nullptr;
-  telemetry::Gauge* queue_depth_ = nullptr;
-  telemetry::Gauge* in_flight_ = nullptr;
-  telemetry::Histogram* queue_hist_ = nullptr;
   telemetry::Histogram* deploy_hist_ = nullptr;
   telemetry::Histogram* run_hist_ = nullptr;
   telemetry::Histogram* total_hist_ = nullptr;
@@ -404,40 +321,10 @@ private:
   /// Epoch-snapshotted breaker view consumed by route() (see RouteTable).
   common::rcu::Snapshot<RouteTable> route_table_;
   // Hot independently-written atomics, each on its own cache line so a
-  // routing scan, a completion, and an admission never false-share.
+  // routing scan and a completion never false-share.
   alignas(64) std::atomic<std::uint64_t> route_rr_{0};
   alignas(64) std::atomic<std::uint64_t> completion_seq_{0};
   alignas(64) std::atomic<std::uint64_t> next_seq_{0};
-  /// Admitted-but-not-started count: the ticket that enforces max_queue
-  /// across all class rings (incremented before push, decremented after
-  /// pop — so no ring can ever be offered more than its capacity).
-  alignas(64) std::atomic<std::size_t> queued_{0};
-
-  // Trailing failure-rate window (load shedding) + service-time EMA (the
-  // retry_after hint). All relaxed atomics: shedding is advisory.
-  std::atomic<std::int64_t> window_start_nanos_{0};
-  std::atomic<std::uint64_t> window_total_{0};
-  std::atomic<std::uint64_t> window_failed_{0};
-  std::atomic<std::uint64_t> service_ema_bits_{0};  // bit_cast<double>
-
-  /// Class-ring ownership: rings are created on demand, never freed
-  /// while the gateway lives (workers hold raw pointers via the pinned
-  /// ClassTable snapshot). class_mutex_ serializes creation only —
-  /// admission and drain go through class_table_ lock-free.
-  std::mutex class_mutex_;
-  std::vector<std::unique_ptr<ClassRing>> class_storage_;
-  common::rcu::Snapshot<ClassTable> class_table_;
-
-  /// Sleep/wake plumbing only — never guards queue state. Producers and
-  /// consumers touch it solely to publish "something changed" to a
-  /// blocked peer (acquired empty before notify so wakeups can't be
-  /// lost); the job handoff itself is the lock-free ring.
-  std::mutex wait_mutex_;
-  std::condition_variable cv_workers_;  // a job was pushed / stopping
-  std::condition_variable cv_space_;    // a job was popped / stopping
-  std::atomic<bool> stop_{false};
-
-  std::vector<std::thread> workers_;  // last member: started after, joined in dtor
 };
 
 }  // namespace xaas::service

@@ -8,8 +8,6 @@ std::string_view to_string(ErrorCode code) {
   switch (code) {
     case ErrorCode::Ok:
       return "ok";
-    case ErrorCode::QueueFull:
-      return "queue_full";
     case ErrorCode::Shed:
       return "shed";
     case ErrorCode::ShuttingDown:
@@ -34,7 +32,6 @@ std::string_view to_string(ErrorCode code) {
 
 bool is_retryable(ErrorCode code) {
   switch (code) {
-    case ErrorCode::QueueFull:
     case ErrorCode::Shed:
     case ErrorCode::NodesUnavailable:
     case ErrorCode::QuotaExceeded:

@@ -19,13 +19,11 @@ namespace xaas::service {
 /// the code instead of parsing error strings.
 enum class ErrorCode {
   Ok = 0,
-  /// Admission rejected: queue at its bound (reject_on_full). Retryable;
-  /// retry_after_seconds carries the backoff hint.
-  QueueFull,
-  /// Load-shed at admission (queue depth or failure rate over the shed
-  /// threshold). Retryable; retry_after_seconds set.
+  /// Load-shed at cluster admission (shard backlog at max_pending, or
+  /// failure rate over the shed threshold). Retryable;
+  /// retry_after_seconds set.
   Shed,
-  /// The gateway is stopping; resubmit elsewhere.
+  /// The cluster is stopping; resubmit elsewhere.
   ShuttingDown,
   /// Image reference unknown to the registry. Not retryable.
   NotFound,
@@ -53,8 +51,8 @@ bool is_retryable(ErrorCode code);
 
 /// Exponential backoff with deterministic jitter for transient
 /// deploy/build/store failures. backoff_seconds() is a pure function of
-/// (attempt, seed): reproducible for a fixed admission order, decorrelated
-/// across requests (the Gateway seeds with the admission sequence number).
+/// (attempt, seed): reproducible for a fixed serve order, decorrelated
+/// across requests (the Gateway seeds with its serve() sequence number).
 struct RetryPolicy {
   /// Total attempts (first try included). 1 disables retries.
   int max_attempts = 4;

@@ -131,18 +131,21 @@ Program Program::link(std::vector<minicc::MachineModule> modules,
     }
   }
 
-  // Resolve every call target and check every register operand, so
-  // neither tier indexes outside a register file.
+  // Resolve every call target, check its arity, and check every register
+  // operand, so neither tier indexes outside a register file.
   for (const auto& m : program.modules_) {
     for (const auto& fn : m.code.functions) {
-      const auto bad = [&](int block, int inst, const std::string& why) {
+      const auto bad = [&](int block, int inst, const std::string& why,
+                           LinkError::Kind kind = LinkError::Kind::BadOperand) {
         program.error_.function = fn.name;
         program.error_.block = block;
         program.error_.inst = inst;
-        return fail(LinkError::Kind::BadOperand,
-                    "bad operand in " + fn.name + " (block " +
-                        std::to_string(block) + ", instruction " +
-                        std::to_string(inst) + "): " + why);
+        return fail(kind, std::string(kind == LinkError::Kind::BadOperand
+                                          ? "bad operand"
+                                          : "call arity mismatch") +
+                              " in " + fn.name + " (block " +
+                              std::to_string(block) + ", instruction " +
+                              std::to_string(inst) + "): " + why);
       };
       if (fn.num_regs() > kMaxRegisters) {
         return bad(-1, -1,
@@ -167,10 +170,21 @@ Program Program::link(std::vector<minicc::MachineModule> modules,
           }
           if (inst.op != Opcode::Call) continue;
           if (minicc::ir::is_intrinsic(inst.callee)) continue;
-          if (program.symbols_.count(inst.callee) == 0) {
+          const auto callee = program.symbols_.find(inst.callee);
+          if (callee == program.symbols_.end()) {
             return fail(LinkError::Kind::UnresolvedSymbol,
                         "unresolved symbol: " + inst.callee +
                             " (referenced from " + fn.name + ")");
+          }
+          // Both tiers bind argument i to parameter i; a short call would
+          // read past the argument list.
+          const std::size_t params = callee->second->params.size();
+          if (inst.args.size() != params) {
+            return bad(static_cast<int>(b), static_cast<int>(k),
+                       inst.callee + " takes " + std::to_string(params) +
+                           " arguments, the call passes " +
+                           std::to_string(inst.args.size()),
+                       LinkError::Kind::ArityMismatch);
           }
         }
       }

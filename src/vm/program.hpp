@@ -11,9 +11,9 @@
 
 namespace xaas::vm {
 
-/// Why Program::link failed. For a bad operand, the location names the
-/// offending instruction (block and instruction index in `function`;
-/// both -1 when a parameter register is at fault).
+/// Why Program::link failed. For a bad operand or call arity, the
+/// location names the offending instruction (block and instruction index
+/// in `function`; both -1 when a parameter register is at fault).
 struct LinkError {
   enum class Kind {
     None,
@@ -22,6 +22,9 @@ struct LinkError {
     DuplicateSymbol,
     UnresolvedSymbol,
     BadOperand,
+    /// A call passes a different number of arguments than the callee
+    /// declares parameters.
+    ArityMismatch,
   };
   Kind kind = Kind::None;
   std::string message;
@@ -37,7 +40,8 @@ public:
   /// link, same as real toolchains), and on instructions neither tier
   /// can execute safely: a register operand outside the function's
   /// register file, a register file larger than kMaxRegisters, a branch
-  /// to a block that does not exist, or a width outside [1, kMaxLanes].
+  /// to a block that does not exist, a width outside [1, kMaxLanes], or a
+  /// call whose argument count differs from its callee's parameter count.
   static Program link(std::vector<minicc::MachineModule> modules,
                       std::string* error = nullptr);
 

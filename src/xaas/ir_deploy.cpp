@@ -276,6 +276,14 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
                            " (" + ir_path + "): " + parsed.error);
       return result;
     }
+    const std::string bad_loops =
+        minicc::ir::loop_metadata_error(parsed.module);
+    if (!bad_loops.empty()) {
+      result.error = "IR verify failed for " + ir_path + ": " + bad_loops;
+      result.log.push_back("build step failed at translation unit " + source +
+                           " (" + ir_path + "): " + bad_loops);
+      return result;
+    }
     modules.push_back(minicc::lower(std::move(parsed.module), target));
     ++lowered;
   }

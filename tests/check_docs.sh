@@ -50,7 +50,7 @@ done
 # Serving-layer modules are documented individually: each header's stem
 # (artifact_store, spec_cache, ...) must appear in the architecture map
 # or the service internals doc. Shared concurrency primitives
-# (src/common/*.hpp: rcu, mpmc_ring, ...) and the VM's execution tiers
+# (src/common/*.hpp: rcu, single_flight, ...) and the VM's execution tiers
 # (src/vm/*.hpp: executor, decoded, ...) are held to the same
 # rule — a new header fails the gate until the docs cover it.
 for header in "$ROOT"/src/service/*.hpp "$ROOT"/src/common/*.hpp \

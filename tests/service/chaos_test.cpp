@@ -3,21 +3,25 @@
 // with the reliability layer (retries, breakers, deadlines, shedding)
 // expected to hide every transient fault — completed requests must be
 // bit-identical to a healthy fleet and the telemetry must stay exactly
-// consistent. The *Stress* suites run under TSan via the stress label.
+// consistent. Concurrent scenarios run through a one-gateway Cluster (the
+// one admission layer); sequential ones call Gateway::serve directly.
+// The *Stress* suites run under TSan via the stress label.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "apps/minimd.hpp"
+#include "service/cluster.hpp"
 #include "service/fault.hpp"
-#include "service/gateway.hpp"
 #include "xaas/ir_pipeline.hpp"
 
 namespace xaas::service {
@@ -60,9 +64,24 @@ container::Image make_ir_image(const Application& app) {
 }
 
 const apps::MdWorkloadParams kParams{64, 8, 4, 64};
-/// A workload heavy enough to pin a worker while a test arranges the
+/// A workload heavy enough to pin a dispatcher while a test arranges the
 /// queue behind it.
 const apps::MdWorkloadParams kHeavyParams{512, 32, 24, 256};
+
+/// A one-gateway Cluster over `fleet` with `dispatchers` serving threads.
+ClusterOptions one_gateway(std::size_t dispatchers) {
+  ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = dispatchers;
+  return options;
+}
+
+/// Block until the cluster's dispatchers took every queued job.
+void wait_until_dispatched(const Cluster& cluster) {
+  while (cluster.pending() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 RunRequest ir_request(const std::string& simd,
                       apps::MdWorkloadParams params = kParams) {
@@ -88,18 +107,16 @@ RunRequest source_request() {
 std::map<std::string, std::string> healthy_references(
     const container::Image& ir_image, const container::Image& source_image,
     const vm::NodeSpec& node) {
-  GatewayOptions options;
-  options.worker_threads = 1;
-  Gateway gateway({node}, options);
+  Gateway gateway({node});
   gateway.push(ir_image, "spcl/minimd:ir");
   gateway.push(source_image, "spcl/minimd:src");
   std::map<std::string, std::string> reference;
   for (const char* simd : {"SSE4.1", "AVX_512"}) {
-    const auto result = gateway.submit(ir_request(simd)).get();
+    const auto result = gateway.serve(ir_request(simd));
     EXPECT_TRUE(result.ok) << result.error;
     reference["ir:" + std::string(simd)] = result.numerics_digest;
   }
-  const auto result = gateway.submit(source_request()).get();
+  const auto result = gateway.serve(source_request());
   EXPECT_TRUE(result.ok) << result.error;
   reference["src"] = result.numerics_digest;
   return reference;
@@ -123,8 +140,8 @@ TEST(ChaosStress, ServingSurvivesFaultsBitIdentical) {
       healthy_references(ir_image, source_image, fleet[0]);
 
   TempDir store_dir("survive");
-  // The plan outlives the gateway (ScopedFaultPlan uninstalls before the
-  // plan and the gateway die).
+  // The plan outlives the cluster (ScopedFaultPlan uninstalls before the
+  // plan and the cluster die).
   fault::FaultPlan plan(2025);
   plan.crash_node("skl-1");
   plan.crash_node("skl-5");
@@ -136,34 +153,34 @@ TEST(ChaosStress, ServingSurvivesFaultsBitIdentical) {
   plan.set_slowdown_seconds(0.001);
   plan.set_probability(fault::kNodeSlow, 0.05);
 
-  GatewayOptions options;
-  options.worker_threads = 4;
-  options.artifact_dir = store_dir.str();
-  options.retry.max_attempts = 16;  // generous budget: zero give-ups
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_seconds = 0.25;  // crashed nodes mostly stay out
-  Gateway gateway(fleet, options);
+  ClusterOptions options = one_gateway(4);
+  options.gateway.artifact_dir = store_dir.str();
+  options.gateway.retry.max_attempts = 16;  // generous budget: zero give-ups
+  options.gateway.breaker.failure_threshold = 2;
+  options.gateway.breaker.open_seconds = 0.25;  // crashed nodes mostly stay out
+  Cluster cluster(fleet, options);
+  Gateway& gateway = cluster.gateway(0);
   gateway.observe_fault_plan(plan);
-  gateway.push(ir_image, "spcl/minimd:ir");
-  gateway.push(source_image, "spcl/minimd:src");
+  cluster.push(ir_image, "spcl/minimd:ir");
+  cluster.push(source_image, "spcl/minimd:src");
 
   fault::ScopedFaultPlan guard(plan);
 
   constexpr int kRequests = 24;
-  std::vector<std::future<RunResult>> futures;
+  std::vector<std::future<ClusterRunResult>> futures;
   std::vector<std::string> expected;
   for (int i = 0; i < kRequests; ++i) {
     switch (i % 3) {
       case 0:
-        futures.push_back(gateway.submit(ir_request("AVX_512")));
+        futures.push_back(cluster.submit(ir_request("AVX_512")));
         expected.push_back(reference.at("ir:AVX_512"));
         break;
       case 1:
-        futures.push_back(gateway.submit(ir_request("SSE4.1")));
+        futures.push_back(cluster.submit(ir_request("SSE4.1")));
         expected.push_back(reference.at("ir:SSE4.1"));
         break;
       default:
-        futures.push_back(gateway.submit(source_request()));
+        futures.push_back(cluster.submit(source_request()));
         expected.push_back(reference.at("src"));
         break;
     }
@@ -171,7 +188,7 @@ TEST(ChaosStress, ServingSurvivesFaultsBitIdentical) {
 
   std::uint64_t total_retries = 0;
   for (int i = 0; i < kRequests; ++i) {
-    const auto result = futures[i].get();
+    const auto result = futures[i].get().result;
     ASSERT_TRUE(result.ok) << "request " << i << ": " << result.error;
     EXPECT_EQ(result.code, ErrorCode::Ok);
     // Zero wrong answers: bit-identical to the healthy fleet.
@@ -183,14 +200,17 @@ TEST(ChaosStress, ServingSurvivesFaultsBitIdentical) {
     total_retries += static_cast<std::uint64_t>(result.attempts - 1);
   }
 
-  const auto snap = gateway.snapshot();
   const auto total = static_cast<std::uint64_t>(kRequests);
-  EXPECT_EQ(snap.counter("gateway.requests"), total);
-  EXPECT_EQ(snap.counter("gateway.admitted"), total);
+  const auto cluster_snap = cluster.snapshot();
+  EXPECT_EQ(cluster_snap.counter("cluster.requests"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.admitted"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.completed"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.failed"), 0u);
+  EXPECT_EQ(cluster_snap.counter("cluster.rejected"), 0u);
+  EXPECT_EQ(cluster_snap.counter("cluster.shed"), 0u);
+  const auto snap = gateway.snapshot();
   EXPECT_EQ(snap.counter("gateway.completed"), total);
   EXPECT_EQ(snap.counter("gateway.failed"), 0u);
-  EXPECT_EQ(snap.counter("gateway.rejected"), 0u);
-  EXPECT_EQ(snap.counter("gateway.shed"), 0u);
   // Retries granted == attempts beyond the first, summed over requests.
   EXPECT_EQ(snap.counter("gateway.retries"), total_retries);
   // Every breaker trip was counted exactly once.
@@ -219,7 +239,6 @@ TEST(ChaosStress, BreakerRoutesAroundCrashedNode) {
   plan.crash_node("skl-0");
 
   GatewayOptions options;
-  options.worker_threads = 2;
   options.retry.max_attempts = 6;
   options.breaker.failure_threshold = 2;
   options.breaker.open_seconds = 10.0;  // stays open for the whole test
@@ -229,7 +248,7 @@ TEST(ChaosStress, BreakerRoutesAroundCrashedNode) {
 
   fault::ScopedFaultPlan guard(plan);
   for (int i = 0; i < 8; ++i) {
-    const auto result = gateway.submit(ir_request("AVX_512")).get();
+    const auto result = gateway.serve(ir_request("AVX_512"));
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.node_name, "skl-1");
   }
@@ -243,7 +262,7 @@ TEST(ChaosStress, BreakerRoutesAroundCrashedNode) {
   // After the breaker opened, later requests route straight to skl-1
   // with no retry at all — the open breaker, not the retry budget, is
   // what hides the crashed node.
-  const auto late = gateway.submit(ir_request("AVX_512")).get();
+  const auto late = gateway.serve(ir_request("AVX_512"));
   ASSERT_TRUE(late.ok) << late.error;
   EXPECT_EQ(late.attempts, 1);
 }
@@ -260,22 +279,21 @@ TEST(ChaosStress, WaitersRetryAfterLeaderLoweringFailure) {
   fault::FaultPlan plan(2024);
   plan.set_probability(fault::kIrLower, 0.6);
 
-  GatewayOptions options;
-  options.worker_threads = 4;
-  options.retry.max_attempts = 20;
-  Gateway gateway(fleet, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
+  ClusterOptions options = one_gateway(4);
+  options.gateway.retry.max_attempts = 20;
+  Cluster cluster(fleet, options);
+  cluster.push(ir_image, "spcl/minimd:ir");
 
   fault::ScopedFaultPlan guard(plan);
-  std::vector<std::future<RunResult>> futures;
+  std::vector<std::future<ClusterRunResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(gateway.submit(ir_request("AVX_512")));
+    futures.push_back(cluster.submit(ir_request("AVX_512")));
   }
   for (auto& future : futures) {
-    const auto result = future.get();
+    const auto result = future.get().result;
     ASSERT_TRUE(result.ok) << result.error;
   }
-  const auto snap = gateway.snapshot();
+  const auto snap = cluster.gateway(0).snapshot();
   EXPECT_EQ(snap.counter("gateway.completed"), 8u);
   // The injected failures were observed by the spec cache as deploy
   // failures, yet no request ended with one: the negative results were
@@ -287,226 +305,164 @@ TEST(ChaosStress, WaitersRetryAfterLeaderLoweringFailure) {
 }
 
 // Deadlines propagate through the queue: a budget that cannot cover the
-// queue wait fails fast with a structured code, without starting work.
-TEST(GatewayReliability, DeadlineExceededInQueueFailsFast) {
+// WFQ wait fails fast at dispatch with a structured code, without
+// starting work.
+TEST(ClusterReliability, DeadlineExceededInQueueFailsFast) {
   const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
+  ClusterOptions options = one_gateway(1);
+  Cluster cluster({vm::node("ault23")}, options);
+  cluster.push(make_ir_image(app), "spcl/minimd:ir");
 
-  GatewayOptions options;
-  options.worker_threads = 1;
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-
-  // Occupy the single worker so queued requests actually wait.
-  auto heavy = gateway.submit(ir_request("AVX_512", kHeavyParams));
-  while (gateway.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Occupy the single dispatcher so queued requests actually wait.
+  auto heavy = cluster.submit(ir_request("AVX_512", kHeavyParams));
+  wait_until_dispatched(cluster);
 
   RunRequest doomed = ir_request("SSE4.1");
   doomed.deadline_seconds = 1e-9;  // can never cover a real queue wait
-  const auto result = gateway.submit(std::move(doomed)).get();
+  const auto result = cluster.submit(std::move(doomed)).get().result;
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.code, ErrorCode::DeadlineExceeded);
   EXPECT_EQ(result.attempts, 0);  // never started
-  EXPECT_TRUE(heavy.get().ok);
+  EXPECT_TRUE(heavy.get().result.ok);
 
-  // A generous deadline on an idle gateway completes normally.
+  // A generous deadline on an idle cluster completes normally.
   RunRequest relaxed = ir_request("SSE4.1");
   relaxed.deadline_seconds = 60.0;
-  const auto ok = gateway.submit(std::move(relaxed)).get();
+  const auto ok = cluster.submit(std::move(relaxed)).get().result;
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_EQ(ok.code, ErrorCode::Ok);
 
-  const auto snap = gateway.snapshot();
+  const auto snap = cluster.gateway(0).snapshot();
   EXPECT_EQ(snap.counter("gateway.deadline_exceeded"), 1u);
   EXPECT_EQ(snap.counter("gateway.failed"), 1u);
+  EXPECT_EQ(cluster.snapshot().counter("cluster.failed"), 1u);
 }
 
-// Queue-depth shedding: past the threshold new submissions complete
-// immediately with Shed + a retry_after hint; shed is distinct from
-// rejected, and requests == admitted + rejected + shed.
-TEST(GatewayReliability, ShedsAtQueueFractionWithRetryAfterHint) {
+// Depth shedding at the one bound, max_pending: past it new submissions
+// complete immediately with Shed + a retry_after hint; shed is distinct
+// from rejected, and requests == admitted + rejected + shed +
+// quota_denied.
+TEST(ClusterReliability, ShedsAtMaxPendingWithRetryAfterHint) {
   const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
+  ClusterOptions options = one_gateway(1);
+  options.max_pending = 4;
+  Cluster cluster({vm::node("ault23")}, options);
+  cluster.push(make_ir_image(app), "spcl/minimd:ir");
 
-  GatewayOptions options;
-  options.worker_threads = 1;
-  options.max_queue = 8;
-  options.shed_queue_fraction = 0.5;  // shed at depth >= 4
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-
-  // Stall the worker, then fill the queue to the shed threshold.
-  auto heavy = gateway.submit(ir_request("AVX_512", kHeavyParams));
-  while (gateway.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::vector<std::future<RunResult>> queued;
+  // Stall the dispatcher, then fill the shard to its bound.
+  auto heavy = cluster.submit(ir_request("AVX_512", kHeavyParams));
+  wait_until_dispatched(cluster);
+  std::vector<std::future<ClusterRunResult>> queued;
   for (int i = 0; i < 4; ++i) {
-    queued.push_back(gateway.submit(ir_request("AVX_512")));
+    queued.push_back(cluster.submit(ir_request("AVX_512")));
   }
 
-  const auto shed = gateway.submit(ir_request("AVX_512")).get();
+  const auto shed = cluster.submit(ir_request("AVX_512")).get().result;
   EXPECT_FALSE(shed.ok);
   EXPECT_EQ(shed.code, ErrorCode::Shed);
   EXPECT_TRUE(is_retryable(shed.code));
   EXPECT_GT(shed.retry_after_seconds, 0.0);
+  EXPECT_EQ(shed.attempts, 0);
 
-  EXPECT_TRUE(heavy.get().ok);
-  for (auto& future : queued) EXPECT_TRUE(future.get().ok);
+  EXPECT_TRUE(heavy.get().result.ok);
+  for (auto& future : queued) EXPECT_TRUE(future.get().result.ok);
 
-  const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.shed"), 1u);
-  EXPECT_EQ(snap.counter("gateway.rejected"), 0u);
-  EXPECT_EQ(snap.counter("gateway.requests"),
-            snap.counter("gateway.admitted") +
-                snap.counter("gateway.rejected") +
-                snap.counter("gateway.shed"));
+  const auto snap = cluster.snapshot();
+  EXPECT_EQ(snap.counter("cluster.shed"), 1u);
+  EXPECT_EQ(snap.counter("cluster.rejected"), 0u);
+  EXPECT_EQ(snap.counter("cluster.admitted"), 5u);
+  EXPECT_EQ(snap.counter("cluster.requests"),
+            snap.counter("cluster.admitted") +
+                snap.counter("cluster.rejected") +
+                snap.counter("cluster.shed") +
+                snap.counter("cluster.quota_denied"));
+  EXPECT_EQ(snap.counter("cluster.admitted"),
+            snap.counter("cluster.completed") + snap.counter("cluster.failed"));
+  // The shed request never reached the gateway.
+  EXPECT_EQ(cluster.gateway(0).snapshot().counter("gateway.completed"), 5u);
 }
 
-// submit_batch never blocks: what does not fit in the queue is shed, so
-// a burst degrades to a partial batch instead of stalling the client.
-TEST(GatewayReliability, SubmitBatchDegradesToPartialBatch) {
+// Shutdown: the destructor stops admission — a submission that arrives
+// while it drains completes at once with ShuttingDown — and still
+// completes every job queued before it began.
+TEST(ClusterReliability, ShutdownDrainsQueuedAndRejectsLateSubmitters) {
   const Application app = make_app();
   const container::Image ir_image = make_ir_image(app);
 
-  GatewayOptions options;
-  options.worker_threads = 1;
-  options.max_queue = 2;
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
+  // Every run stalls before executing, so the destructor's drain lasts
+  // long past the late submission below. The second stall (the queued
+  // job, served inside the destructor) also waits until the late
+  // submission returned: the dispatcher the destructor joins then orders
+  // that submission before the cluster's members die.
+  std::promise<void> late_returned;
+  const std::shared_future<void> late_gate =
+      late_returned.get_future().share();
+  std::atomic<int> stalls{0};
+  fault::FaultPlan plan(11);
+  plan.set_slowdown_seconds(0.25);
+  plan.set_probability(fault::kNodeSlow, 1.0);
+  plan.set_observer([&](std::string_view site) {
+    if (site == fault::kNodeSlow && stalls.fetch_add(1) == 1) late_gate.wait();
+  });
+  fault::ScopedFaultPlan guard(plan);
 
-  // Stall the worker so the burst meets a full queue deterministically.
-  auto heavy = gateway.submit(ir_request("AVX_512", kHeavyParams));
-  while (gateway.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  std::vector<RunRequest> burst;
-  for (int i = 0; i < 6; ++i) burst.push_back(ir_request("AVX_512"));
-  auto futures = gateway.submit_batch(std::move(burst));
-  ASSERT_EQ(futures.size(), 6u);
-
-  int ok = 0, shed = 0;
-  for (auto& future : futures) {
-    const auto result = future.get();
-    if (result.ok) {
-      ++ok;
-    } else {
-      EXPECT_EQ(result.code, ErrorCode::Shed) << result.error;
-      EXPECT_GT(result.retry_after_seconds, 0.0);
-      ++shed;
-    }
-  }
-  EXPECT_EQ(ok + shed, 6);
-  EXPECT_EQ(ok, 2);  // exactly the queue capacity was admitted
-  EXPECT_TRUE(heavy.get().ok);
-
-  const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.shed"), static_cast<std::uint64_t>(shed));
-  EXPECT_EQ(snap.counter("gateway.requests"),
-            snap.counter("gateway.admitted") + snap.counter("gateway.shed"));
-}
-
-// Structured errors on the admission paths: queue-full rejections carry
-// QueueFull + retry_after; shutdown rejections carry ShuttingDown.
-TEST(GatewayReliability, RejectionsCarryMachineReadableCodes) {
-  const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
-
-  GatewayOptions options;
-  options.worker_threads = 1;
-  options.max_queue = 1;
-  options.reject_on_full = true;
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-
-  std::vector<std::future<RunResult>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(gateway.submit(ir_request("AVX_512")));
-  }
-  int rejected = 0;
-  for (auto& future : futures) {
-    const auto result = future.get();
-    if (result.ok) continue;
-    EXPECT_EQ(result.code, ErrorCode::QueueFull) << result.error;
-    EXPECT_TRUE(is_retryable(result.code));
-    EXPECT_GT(result.retry_after_seconds, 0.0);
-    ++rejected;
-  }
-  EXPECT_GT(rejected, 0);
-}
-
-TEST(GatewayReliability, ShutdownCompletesBlockedSubmittersWithCode) {
-  const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
-
-  RunResult blocked_result;
+  std::future<ClusterRunResult> queued;
+  ClusterRunResult late;
+  std::atomic<bool> destroying{false};
   std::thread submitter;
   {
-    GatewayOptions options;
-    options.worker_threads = 1;
-    options.max_queue = 1;
-    Gateway gateway({vm::node("ault23")}, options);
-    gateway.push(ir_image, "spcl/minimd:ir");
-
-    // Occupy the worker, fill the queue, then block a submitter on
-    // backpressure; the gateway destructor stops admission and must
-    // complete the blocked submitter rather than strand it.
-    auto heavy = gateway.submit(ir_request("AVX_512", kHeavyParams));
-    while (gateway.queue_depth() > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    auto queued = gateway.submit(ir_request("AVX_512"));
-    (void)heavy;
-    (void)queued;  // drained by the destructor; completion not asserted
-    submitter = std::thread([&gateway, &blocked_result] {
-      blocked_result = gateway.submit(ir_request("AVX_512")).get();
+    Cluster cluster({vm::node("ault23")}, one_gateway(1));
+    cluster.push(ir_image, "spcl/minimd:ir");
+    auto running = cluster.submit(ir_request("AVX_512"));
+    wait_until_dispatched(cluster);
+    queued = cluster.submit(ir_request("AVX_512"));
+    (void)running;
+    submitter = std::thread([&] {
+      while (!destroying.load()) std::this_thread::yield();
+      // The destructor has begun and is waiting on the stalled run.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      late = cluster.submit(ir_request("AVX_512")).get();
+      late_returned.set_value();
     });
-    // Give the submitter time to reach the backpressure wait, then let
-    // the destructor run.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    destroying.store(true);
   }
   submitter.join();
-  // Either the worker freed a slot before shutdown reached the waiter
-  // (served normally) or the destructor rejected it with a structured
-  // ShuttingDown error; it must never hang or complete with no code.
-  if (!blocked_result.ok) {
-    EXPECT_EQ(blocked_result.code, ErrorCode::ShuttingDown);
-    EXPECT_NE(blocked_result.error.find("shutting down"), std::string::npos);
-  } else {
-    EXPECT_EQ(blocked_result.code, ErrorCode::Ok);
-  }
+  EXPECT_FALSE(late.result.ok);
+  EXPECT_EQ(late.result.code, ErrorCode::ShuttingDown);
+  EXPECT_NE(late.result.error.find("shutting down"), std::string::npos);
+  const auto drained = queued.get().result;
+  EXPECT_TRUE(drained.ok) << drained.error;
+  EXPECT_EQ(stalls.load(), 2);
 }
 
-// Failure-rate shedding: a fleet where every request fails pushes the
-// trailing failure rate over the threshold, and admission starts
-// shedding until the window rotates.
-TEST(GatewayReliability, FailureRateShedding) {
-  GatewayOptions options;
-  options.worker_threads = 1;
+// Failure-rate shedding (brownout) at cluster admission: a fleet where
+// every request fails pushes the trailing failure rate over the
+// threshold, and admission sheds until the window rotates.
+TEST(ClusterReliability, FailureRateShedding) {
+  ClusterOptions options = one_gateway(1);
   options.shed_failure_rate = 0.5;
   options.shed_min_samples = 4;
   options.shed_window_seconds = 60.0;  // never rotates inside the test
-  Gateway gateway({vm::node("ault23")}, options);
+  Cluster cluster({vm::node("ault23")}, options);
   // No image pushed: every admitted request fails with NotFound.
 
   RunRequest request;
   request.image_reference = "spcl/unknown:tag";
   for (int i = 0; i < 4; ++i) {
-    const auto result = gateway.submit(request).get();
+    const auto result = cluster.submit(request).get().result;
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.code, ErrorCode::NotFound);
   }
   // The window now holds 4 completions, all failed: shed.
-  const auto shed = gateway.submit(request).get();
+  const auto shed = cluster.submit(request).get().result;
   EXPECT_FALSE(shed.ok);
   EXPECT_EQ(shed.code, ErrorCode::Shed);
   EXPECT_GT(shed.retry_after_seconds, 0.0);
-  const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.shed"), 1u);
-  EXPECT_EQ(snap.counter("gateway.failed"), 4u);
+  const auto snap = cluster.snapshot();
+  EXPECT_EQ(snap.counter("cluster.shed"), 1u);
+  EXPECT_EQ(snap.counter("cluster.failed"), 4u);
+  EXPECT_EQ(snap.counter("cluster.requests"), 5u);
+  EXPECT_EQ(cluster.gateway(0).snapshot().counter("gateway.failed"), 4u);
 }
 
 }  // namespace

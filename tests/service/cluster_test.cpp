@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -18,6 +21,7 @@
 #include "apps/minimd.hpp"
 #include "common/rng.hpp"
 #include "service/cluster.hpp"
+#include "service/fault.hpp"
 #include "xaas/ir_pipeline.hpp"
 
 namespace xaas::service {
@@ -214,7 +218,6 @@ ClusterOptions small_cluster_options() {
   ClusterOptions options;
   options.gateways = 2;
   options.dispatchers_per_gateway = 2;
-  options.gateway.max_queue = 64;
   return options;
 }
 
@@ -289,6 +292,117 @@ TEST(Cluster, QuotaDenialIsImmediateAndRetryable) {
                 snap.counter("cluster.quota_denied"));
 }
 
+/// One gateway, one dispatcher, no stealing: the WFQ drain order is the
+/// completion order.
+ClusterOptions serial_cluster_options() {
+  ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 1;
+  options.steal = false;
+  return options;
+}
+
+void wait_until_dispatched(const Cluster& cluster) {
+  while (cluster.pending() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Priority is a WFQ input: with one dispatcher busy, every queued
+// high-priority request completes before every low-priority one, even
+// though the lows were submitted first and by a tenant with a larger
+// weight.
+TEST(Cluster, PriorityOrdersQueuedRequests) {
+  const Application app = make_app();
+  ClusterOptions options = serial_cluster_options();
+  options.tenant_quotas["heavy-low"] = {1e9, 1e9, /*weight=*/8.0};
+  Cluster cluster({vm::node("ault23")}, options);
+  cluster.push(make_ir_image(app), "spcl/minimd:ir");
+
+  // A heavy first request occupies the single dispatcher (fresh lowering
+  // plus a large workload) while the prioritized batch queues up.
+  RunRequest heavy_request = tenant_request("t", "AVX_512");
+  heavy_request.workload = apps::minimd_workload({512, 32, 24, 256});
+  auto heavy = cluster.submit(std::move(heavy_request));
+  wait_until_dispatched(cluster);
+
+  std::vector<std::future<ClusterRunResult>> low, high;
+  for (int i = 0; i < 3; ++i) {
+    RunRequest request = tenant_request("heavy-low", "AVX_512");
+    request.priority = -5;
+    low.push_back(cluster.submit(std::move(request)));
+  }
+  for (int i = 0; i < 3; ++i) {
+    RunRequest request = tenant_request(i % 2 ? "a" : "b", "AVX_512");
+    request.priority = 5;
+    high.push_back(cluster.submit(std::move(request)));
+  }
+
+  const auto heavy_result = heavy.get().result;
+  ASSERT_TRUE(heavy_result.ok) << heavy_result.error;
+
+  std::uint64_t max_high = 0;
+  std::uint64_t min_low = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t prev_low = 0;
+  for (auto& f : high) {
+    const auto r = f.get().result;
+    ASSERT_TRUE(r.ok) << r.error;
+    max_high = std::max(max_high, r.completion_seq);
+  }
+  for (auto& f : low) {
+    const auto r = f.get().result;
+    ASSERT_TRUE(r.ok) << r.error;
+    min_low = std::min(min_low, r.completion_seq);
+    EXPECT_GT(r.completion_seq, prev_low);  // FIFO within one tenant
+    prev_low = r.completion_seq;
+  }
+  EXPECT_LT(max_high, min_low);
+}
+
+// A request's deadline runs from Cluster admission. Its budget runs out
+// while it waits in the WFQ behind a long run, so it completes with
+// DeadlineExceeded at dispatch: never deployed, never run, and still
+// counted as cluster.failed.
+TEST(Cluster, DeadlineCountsQueueWait) {
+  const Application app = make_app();
+  Cluster cluster({vm::node("ault23")}, serial_cluster_options());
+  cluster.push(make_ir_image(app), "spcl/minimd:ir");
+
+  // Every run stalls 200 ms before executing, so the first request holds
+  // the only dispatcher well past the second's 50 ms budget. Measured
+  // from the gateway alone, the second request would be on time: its
+  // deploy is a cache hit and runs are never preempted.
+  fault::FaultPlan plan(3);
+  plan.set_slowdown_seconds(0.2);
+  plan.set_probability(fault::kNodeSlow, 1.0);
+  fault::ScopedFaultPlan guard(plan);
+
+  auto first = cluster.submit(tenant_request("t", "AVX_512"));
+  RunRequest doomed = tenant_request("t", "AVX_512");
+  doomed.deadline_seconds = 0.05;
+  auto second = cluster.submit(std::move(doomed));
+
+  ASSERT_TRUE(first.get().result.ok);
+  const auto late = second.get();
+  EXPECT_FALSE(late.result.ok);
+  EXPECT_EQ(late.result.code, ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(late.result.attempts, 0);
+  EXPECT_GE(late.total_seconds, 0.05);
+
+  const auto gateway = cluster.gateway(0).snapshot();
+  EXPECT_EQ(gateway.histograms.at("gateway.deploy_seconds").count, 1u);
+  EXPECT_EQ(gateway.counter("spec_cache.misses") +
+                gateway.counter("spec_cache.hits"),
+            1u);
+  EXPECT_EQ(gateway.counter("vm.runs"), 1u);
+  EXPECT_EQ(gateway.counter("gateway.deadline_exceeded"), 1u);
+  const auto snap = cluster.snapshot();
+  EXPECT_EQ(snap.counter("cluster.admitted"), 2u);
+  EXPECT_EQ(snap.counter("cluster.completed"), 1u);
+  EXPECT_EQ(snap.counter("cluster.failed"), 1u);
+  EXPECT_EQ(snap.counter("tenant.t.failed"), 1u);
+}
+
 // With artifact_root set, the gateways' stores form a registry ring:
 // after one gateway builds a class and gossip drains, the sibling serves
 // the same class from pre-warmed blobs — zero lowerings, zero TU
@@ -326,7 +440,7 @@ TEST(Cluster, DistributionReplicatesAcrossGateways) {
   ASSERT_NE(sibling, nullptr);
   ASSERT_EQ(sibling->scheduler().cache().lowerings(), 0u);
 
-  const auto replayed = sibling->submit(tenant_request("t", "AVX_512")).get();
+  const auto replayed = sibling->serve(tenant_request("t", "AVX_512"));
   ASSERT_TRUE(replayed.ok) << replayed.error;
   EXPECT_EQ(replayed.numerics_digest, first.result.numerics_digest);
   EXPECT_EQ(sibling->scheduler().cache().lowerings(), 0u);
@@ -394,7 +508,6 @@ ClusterOptions stress_cluster_options() {
   ClusterOptions options;
   options.gateways = 4;
   options.dispatchers_per_gateway = 2;
-  options.gateway.max_queue = 256;
   options.max_pending = 4096;  // victims must never shed in this test
   return options;
 }

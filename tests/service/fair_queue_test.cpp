@@ -220,6 +220,51 @@ TEST(FairQueue, SeededLoadDrainsIdentically) {
   EXPECT_NE(run_once(42), run_once(7));  // the seed actually matters
 }
 
+TEST(FairQueue, HigherPriorityDrainsStrictlyFirst) {
+  WeightedFairQueue<int> wfq;
+  wfq.set_weight("a", 4.0);
+  wfq.set_weight("b", 1.0);
+  // a floods priority 0 with a large weight; b's priority-1 jobs still
+  // drain first, then priority 0 (FIFO per tenant), then priority -1.
+  for (int i = 0; i < 6; ++i) wfq.push_weighted("a", 1.0, 0.0, i, 0);
+  wfq.push_weighted("c", 1.0, 0.0, 200, -1);
+  for (int i = 0; i < 3; ++i) wfq.push_weighted("b", 1.0, 0.0, 100 + i, 1);
+  EXPECT_EQ(wfq.size(), 10u);
+  std::vector<int> values;
+  int value = 0;
+  while (wfq.pop(&value)) values.push_back(value);
+  EXPECT_EQ(values,
+            (std::vector<int>{100, 101, 102, 0, 1, 2, 3, 4, 5, 200}));
+  EXPECT_TRUE(wfq.empty());
+}
+
+TEST(FairQueue, OnePriorityLevelDrainsAsPlainWfq) {
+  // Every job at one priority — whichever — drains in the order of the
+  // default level: the priority dimension adds nothing until used.
+  const auto run_at = [](int priority) {
+    WeightedFairQueue<int> wfq;
+    wfq.set_weight("a", 3.0);
+    wfq.set_weight("b", 1.0);
+    common::Rng rng(99);
+    std::vector<std::string> order;
+    int value;
+    std::string tenant;
+    for (int step = 0; step < 300; ++step) {
+      const int op = static_cast<int>(rng.next_below(3));
+      if (op < 2) {
+        wfq.push_weighted(op == 0 ? "a" : "b", rng.uniform(0.5, 2.0), 0.0,
+                          step, priority);
+      } else if (wfq.pop(&value, &tenant)) {
+        order.push_back(tenant);
+      }
+    }
+    while (wfq.pop(&value, &tenant)) order.push_back(tenant);
+    return order;
+  };
+  EXPECT_EQ(run_at(0), run_at(7));
+  EXPECT_EQ(run_at(0), run_at(-3));
+}
+
 TEST(FairQueue, WeightedShareUnderSeededMixedLoad) {
   // Three fully backlogged tenants at weights 4:2:1 drain 4:2:1 over any
   // window while all are backlogged.

@@ -272,7 +272,6 @@ TEST(CircuitBreaker, LateFailureWhileOpenDoesNotExtendCooling) {
 
 TEST(ErrorCodes, NamesAndRetryability) {
   EXPECT_EQ(to_string(ErrorCode::Ok), "ok");
-  EXPECT_EQ(to_string(ErrorCode::QueueFull), "queue_full");
   EXPECT_EQ(to_string(ErrorCode::Shed), "shed");
   EXPECT_EQ(to_string(ErrorCode::ShuttingDown), "shutting_down");
   EXPECT_EQ(to_string(ErrorCode::NotFound), "not_found");
@@ -282,7 +281,6 @@ TEST(ErrorCodes, NamesAndRetryability) {
   EXPECT_EQ(to_string(ErrorCode::RunFailed), "run_failed");
   EXPECT_EQ(to_string(ErrorCode::DeadlineExceeded), "deadline_exceeded");
 
-  EXPECT_TRUE(is_retryable(ErrorCode::QueueFull));
   EXPECT_TRUE(is_retryable(ErrorCode::Shed));
   EXPECT_TRUE(is_retryable(ErrorCode::NodesUnavailable));
   EXPECT_FALSE(is_retryable(ErrorCode::Ok));

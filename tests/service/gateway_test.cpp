@@ -1,14 +1,19 @@
+// Gateway::serve end to end — routing, deploy through the caches, run,
+// numerics digest, telemetry — plus the concurrent mixed-client stress
+// through a one-gateway Cluster (GatewayStress, stress label: runs under
+// TSan/ASan).
 #include "service/gateway.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <thread>
 
 #include "apps/minimd.hpp"
+#include "service/cluster.hpp"
 #include "xaas/ir_pipeline.hpp"
 
 namespace xaas::service {
@@ -43,12 +48,10 @@ TEST(Gateway, SingleRequestMatchesDirectDeployAndRun) {
   const Application app = make_app();
   const container::Image ir_image = make_ir_image(app);
 
-  GatewayOptions options;
-  options.worker_threads = 2;
-  Gateway gateway({vm::node("ault23")}, options);
+  Gateway gateway({vm::node("ault23")});
   gateway.push(ir_image, "spcl/minimd:ir");
 
-  auto result = gateway.submit(ir_request("AVX_512")).get();
+  auto result = gateway.serve(ir_request("AVX_512"));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.node_name, "ault23");
   EXPECT_FALSE(result.spec_cache_hit);  // first request lowers
@@ -56,6 +59,8 @@ TEST(Gateway, SingleRequestMatchesDirectDeployAndRun) {
   EXPECT_GT(result.total_seconds, 0.0);
   EXPECT_GE(result.total_seconds,
             result.deploy_seconds + result.run_seconds - 1e-9);
+  EXPECT_EQ(result.queue_seconds, 0.0);  // the gateway holds no queue
+  EXPECT_EQ(result.attempts, 1);
 
   // Reference: direct deploy + run on the same node, no gateway.
   IrDeployOptions deploy_options;
@@ -73,19 +78,46 @@ TEST(Gateway, SingleRequestMatchesDirectDeployAndRun) {
   EXPECT_EQ(result.run.elapsed_seconds, direct_run.elapsed_seconds);
 
   // A second identical request reuses the cached specialization.
-  auto second = gateway.submit(ir_request("AVX_512")).get();
+  auto second = gateway.serve(ir_request("AVX_512"));
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.spec_cache_hit);
   EXPECT_EQ(second.numerics_digest, result.numerics_digest);
 
+  EXPECT_EQ(second.completion_seq, result.completion_seq + 1);
+
   const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.requests"), 2u);
   EXPECT_EQ(snap.counter("gateway.completed"), 2u);
+  EXPECT_EQ(snap.counter("gateway.failed"), 0u);
   EXPECT_EQ(snap.counter("spec_cache.hits"), 1u);
   EXPECT_EQ(snap.counter("spec_cache.misses"), 1u);
   EXPECT_EQ(snap.counter("vm.runs"), 2u);
   EXPECT_GT(snap.counter("vm.instructions"), 0u);
   EXPECT_EQ(snap.histograms.at("gateway.total_seconds").count, 2u);
+}
+
+/// Threads of this process right now (Linux).
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// The gateway serves on the caller's thread: constructing one and serving
+// requests starts no thread (its deploy pools start workers only for
+// asynchronous batches, which serve() never issues).
+TEST(Gateway, ServesWithoutStartingThreads) {
+  const Application app = make_app();
+  const container::Image ir_image = make_ir_image(app);
+  const std::size_t before = process_threads();
+  Gateway gateway({vm::node("ault23")});
+  gateway.push(ir_image, "spcl/minimd:ir");
+  ASSERT_TRUE(gateway.serve(ir_request("AVX_512")).ok);
+  ASSERT_TRUE(gateway.serve(ir_request("SSE4.1")).ok);
+  EXPECT_EQ(process_threads(), before);
 }
 
 // Pins the numerics_digest byte encoding (docs/SERVICE.md): the fixed
@@ -125,16 +157,14 @@ TEST(Gateway, RoutesByIsaCompatibility) {
   ASSERT_FALSE(isa::runs_on(isa::VectorIsa::AVX_512,
                             fleet[1].best_vector_isa()));
 
-  GatewayOptions options;
-  options.worker_threads = 2;
-  Gateway gateway(std::move(fleet), options);
+  Gateway gateway(std::move(fleet));
   gateway.push(ir_image, "spcl/minimd:ir");
 
   // An explicit AVX-512 march can only be served by the AVX-512 node.
   for (int i = 0; i < 3; ++i) {
     RunRequest request = ir_request("AVX_512");
     request.march = isa::VectorIsa::AVX_512;
-    const auto result = gateway.submit(std::move(request)).get();
+    const auto result = gateway.serve(std::move(request));
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.node_name, "ault23");
   }
@@ -148,15 +178,13 @@ TEST(Gateway, SourceImagesRouteThroughBuildFarm) {
   const container::Image source_image =
       build_source_image(app, isa::Arch::X86_64);
 
-  GatewayOptions options;
-  options.worker_threads = 2;
-  Gateway gateway({vm::node("devbox")}, options);
+  Gateway gateway({vm::node("devbox")});
   gateway.push(source_image, "spcl/minimd:src");
 
   RunRequest request;
   request.image_reference = "spcl/minimd:src";
   request.workload = apps::minimd_workload({64, 8, 4, 64});
-  const auto result = gateway.submit(std::move(request)).get();
+  const auto result = gateway.serve(std::move(request));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.node_name, "devbox");
 
@@ -170,130 +198,65 @@ TEST(Gateway, SourceImagesRouteThroughBuildFarm) {
 }
 
 TEST(Gateway, UnknownImageFailsAndIsCounted) {
-  GatewayOptions options;
-  options.worker_threads = 1;
-  Gateway gateway({vm::node("ault23")}, options);
+  Gateway gateway({vm::node("ault23")});
 
   RunRequest request;
   request.image_reference = "spcl/unknown:tag";
-  const auto result = gateway.submit(std::move(request)).get();
+  const auto result = gateway.serve(std::move(request));
   EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.code, ErrorCode::NotFound);
   EXPECT_NE(result.error.find("not found"), std::string::npos);
 
   const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.requests"), 1u);
   EXPECT_EQ(snap.counter("gateway.failed"), 1u);
   EXPECT_EQ(snap.counter("gateway.completed"), 0u);
+  EXPECT_EQ(snap.histograms.at("gateway.total_seconds").count, 1u);
+}
+
+// serve() charges the deadline from the caller's admission time: a budget
+// already spent on entry fails fast — nothing routed, deployed or run.
+TEST(Gateway, ServeChargesDeadlineFromAdmission) {
+  const Application app = make_app();
+  Gateway gateway({vm::node("ault23")});
+  gateway.push(make_ir_image(app), "spcl/minimd:ir");
+
+  RunRequest request = ir_request("AVX_512");
+  request.deadline_seconds = 0.5;
+  const auto result = gateway.serve(
+      std::move(request), Gateway::Clock::now() - std::chrono::seconds(1));
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.code, ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(result.attempts, 0);
+  EXPECT_TRUE(result.node_name.empty());
+
+  const auto snap = gateway.snapshot();
+  EXPECT_EQ(snap.counter("gateway.deadline_exceeded"), 1u);
+  EXPECT_EQ(snap.counter("gateway.failed"), 1u);
+  EXPECT_EQ(snap.counter("spec_cache.misses"), 0u);
+  EXPECT_EQ(snap.counter("vm.runs"), 0u);
 }
 
 TEST(Gateway, NoCompatibleNodeFailsCleanly) {
   const Application app = make_app();
   const container::Image ir_image = make_ir_image(app);
 
-  GatewayOptions options;
-  options.worker_threads = 1;
-  Gateway gateway({vm::node("devbox")}, options);  // AVX2-only fleet
+  Gateway gateway({vm::node("devbox")});  // AVX2-only fleet
   gateway.push(ir_image, "spcl/minimd:ir");
 
   RunRequest request = ir_request("AVX_512");
   request.march = isa::VectorIsa::AVX_512;  // no node can execute this
-  const auto result = gateway.submit(std::move(request)).get();
+  const auto result = gateway.serve(std::move(request));
   EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.code, ErrorCode::NoCompatibleNode);
   EXPECT_NE(result.error.find("no compatible node"), std::string::npos);
 }
 
-TEST(Gateway, PriorityOrdersQueuedRequests) {
-  const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
-
-  GatewayOptions options;
-  options.worker_threads = 1;  // serialize execution: queue order observable
-  options.max_queue = 64;
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-
-  // A heavy first request occupies the single worker (fresh lowering plus
-  // a large workload) while the prioritized batch queues up behind it.
-  auto heavy = gateway.submit(ir_request("AVX_512", {512, 32, 24, 256}));
-  while (gateway.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  std::vector<std::future<RunResult>> low, high;
-  for (int i = 0; i < 3; ++i) {
-    RunRequest request = ir_request("AVX_512");
-    request.priority = -5;
-    low.push_back(gateway.submit(std::move(request)));
-  }
-  for (int i = 0; i < 3; ++i) {
-    RunRequest request = ir_request("AVX_512");
-    request.priority = 5;
-    high.push_back(gateway.submit(std::move(request)));
-  }
-
-  const auto heavy_result = heavy.get();
-  ASSERT_TRUE(heavy_result.ok) << heavy_result.error;
-
-  std::uint64_t max_high = 0, min_low = std::numeric_limits<std::uint64_t>::max();
-  for (auto& f : high) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok) << r.error;
-    max_high = std::max(max_high, r.completion_seq);
-  }
-  for (auto& f : low) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok) << r.error;
-    min_low = std::min(min_low, r.completion_seq);
-  }
-  // Every high-priority request completed before every low-priority one,
-  // even though the lows were submitted first.
-  EXPECT_LT(max_high, min_low);
-}
-
-TEST(Gateway, BackpressureRejectsWhenConfigured) {
-  const Application app = make_app();
-  const container::Image ir_image = make_ir_image(app);
-
-  GatewayOptions options;
-  options.worker_threads = 1;
-  options.max_queue = 1;
-  options.reject_on_full = true;
-  Gateway gateway({vm::node("ault23")}, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-
-  std::vector<std::future<RunResult>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(gateway.submit(ir_request("AVX_512", {256, 16, 8, 128})));
-  }
-  int ok = 0, rejected = 0;
-  for (auto& f : futures) {
-    const auto r = f.get();
-    if (r.ok) {
-      ++ok;
-    } else {
-      EXPECT_NE(r.error.find("queue full"), std::string::npos) << r.error;
-      ++rejected;
-    }
-  }
-  EXPECT_GT(ok, 0);  // at least the first request is served
-
-  const auto snap = gateway.snapshot();
-  EXPECT_EQ(snap.counter("gateway.requests"), 8u);
-  EXPECT_EQ(snap.counter("gateway.admitted") +
-                snap.counter("gateway.rejected"),
-            8u);
-  EXPECT_EQ(snap.counter("gateway.rejected"),
-            static_cast<std::uint64_t>(rejected));
-  EXPECT_EQ(snap.counter("gateway.completed"),
-            static_cast<std::uint64_t>(ok));
-  EXPECT_EQ(gateway.queue_depth(), 0u);
-  EXPECT_EQ(snap.gauge("gateway.in_flight"), 0);
-}
-
 // Many concurrent clients mixing source and IR requests over a
-// heterogeneous fleet: every result must be bit-identical to a serial
-// uncached execution on the same microarchitecture, and the telemetry
-// counters must sum consistently. Runs under TSan via the stress label.
+// heterogeneous fleet, served by a one-gateway Cluster whose dispatchers
+// call serve() concurrently: every result must be bit-identical to a
+// serial uncached execution on the same microarchitecture, and the
+// cluster and gateway counters must reconcile exactly. Runs under TSan
+// via the stress label.
 TEST(GatewayStress, MixedClientsBitIdenticalAndCountersConsistent) {
   const Application app = make_app(4);
   const container::Image ir_image = make_ir_image(app);
@@ -311,12 +274,13 @@ TEST(GatewayStress, MixedClientsBitIdenticalAndCountersConsistent) {
   const vm::NodeSpec skl_ref = fleet[0];
   const vm::NodeSpec edge_ref = fleet[2];
 
-  GatewayOptions options;
-  options.worker_threads = 4;
-  options.max_queue = 8;  // exercise blocking backpressure
-  Gateway gateway(fleet, options);
-  gateway.push(ir_image, "spcl/minimd:ir");
-  gateway.push(source_image, "spcl/minimd:src");
+  ClusterOptions options;
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 4;
+  Cluster cluster(fleet, options);
+  cluster.push(ir_image, "spcl/minimd:ir");
+  cluster.push(source_image, "spcl/minimd:src");
+  Gateway& gateway = cluster.gateway(0);
 
   const apps::MdWorkloadParams params{64, 8, 4, 64};
   const auto make_request = [&](int klass) {
@@ -363,13 +327,13 @@ TEST(GatewayStress, MixedClientsBitIdenticalAndCountersConsistent) {
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 8;
-  std::vector<std::vector<std::future<RunResult>>> futures(kClients);
+  std::vector<std::vector<std::future<ClusterRunResult>>> futures(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
-        futures[c].push_back(gateway.submit(make_request((c + i) % 3)));
+        futures[c].push_back(cluster.submit(make_request((c + i) % 3)));
       }
     });
   }
@@ -378,8 +342,9 @@ TEST(GatewayStress, MixedClientsBitIdenticalAndCountersConsistent) {
   int completed = 0;
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kPerClient; ++i) {
-      const auto result = futures[c][i].get();
+      const auto result = futures[c][i].get().result;
       ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_EQ(result.queue_seconds, 0.0);
       ++completed;
       const bool is_skl = result.node_name.rfind("skl-", 0) == 0;
       ASSERT_TRUE(is_skl || result.node_name.rfind("edge-", 0) == 0)
@@ -391,18 +356,22 @@ TEST(GatewayStress, MixedClientsBitIdenticalAndCountersConsistent) {
   }
   ASSERT_EQ(completed, kClients * kPerClient);
 
-  const auto snap = gateway.snapshot();
   const auto total = static_cast<std::uint64_t>(kClients * kPerClient);
-  EXPECT_EQ(snap.counter("gateway.requests"), total);
-  EXPECT_EQ(snap.counter("gateway.admitted"), total);
-  EXPECT_EQ(snap.counter("gateway.rejected"), 0u);
+  const auto cluster_snap = cluster.snapshot();
+  EXPECT_EQ(cluster_snap.counter("cluster.requests"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.admitted"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.rejected"), 0u);
+  EXPECT_EQ(cluster_snap.counter("cluster.shed"), 0u);
+  EXPECT_EQ(cluster_snap.counter("cluster.completed"), total);
+  EXPECT_EQ(cluster_snap.counter("cluster.failed"), 0u);
+  EXPECT_EQ(cluster.pending(), 0u);
+
+  const auto snap = gateway.snapshot();
   EXPECT_EQ(snap.counter("gateway.completed"), total);
   EXPECT_EQ(snap.counter("gateway.failed"), 0u);
   EXPECT_EQ(snap.histograms.at("gateway.total_seconds").count, total);
   EXPECT_EQ(snap.histograms.at("gateway.deploy_seconds").count, total);
   EXPECT_EQ(snap.histograms.at("gateway.run_seconds").count, total);
-  EXPECT_EQ(snap.gauge("gateway.queue_depth"), 0);
-  EXPECT_EQ(snap.gauge("gateway.in_flight"), 0);
   EXPECT_EQ(snap.counter("vm.runs"), total);
 
   // Every request resolved through a specialization cache, and the fleet

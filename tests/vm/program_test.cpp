@@ -169,6 +169,51 @@ TEST(Program, BadParameterRegisterFailsToLink) {
   EXPECT_NE(p.error().find("parameter register 9"), std::string::npos);
 }
 
+// A call site must pass exactly as many arguments as its callee takes:
+// a short call made the reference interpreter read past the argument
+// list. Mismatched declarations across modules now fail to link with
+// ArityMismatch, naming the call; the matching program runs the same on
+// both tiers.
+TEST(Program, CallArityMismatchFailsToLink) {
+  const auto modules_for = [](const char* declaration) {
+    std::vector<minicc::MachineModule> modules;
+    modules.push_back(compile_one(
+        "double helper(double x, double y) { return x * y + 1.0; }\n"));
+    modules.push_back(compile_one(
+        std::string(declaration) +
+        "double entry(double x) { return helper(x" +
+        (std::string(declaration).find(", double") == std::string::npos
+             ? ""
+             : ", 3.0") +
+        "); }\n"));
+    return modules;
+  };
+
+  const Program bad = Program::link(modules_for("double helper(double x);\n"));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.link_error().kind, LinkError::Kind::ArityMismatch);
+  EXPECT_EQ(bad.link_error().function, "entry");
+  EXPECT_GE(bad.link_error().block, 0);
+  EXPECT_GE(bad.link_error().inst, 0);
+  EXPECT_NE(bad.error().find("helper takes 2 arguments, the call passes 1"),
+            std::string::npos)
+      << bad.error();
+
+  const Program good =
+      Program::link(modules_for("double helper(double x, double y);\n"));
+  ASSERT_TRUE(good.ok()) << good.error();
+  Workload w;
+  w.entry = "entry";
+  w.args = {Workload::Arg::f64(2.0)};
+  for (const bool reference : {false, true}) {
+    ExecutorOptions options;
+    options.reference_interpreter = reference;
+    const RunResult r = Executor(good, node("devbox"), options).run(w);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.ret_f64, 7.0) << (reference ? "reference" : "decoded");
+  }
+}
+
 TEST(Program, EmptyLinkFails) {
   std::string error;
   const Program p = Program::link({}, &error);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <regex>
+
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "vm/decoded.hpp"
@@ -258,6 +261,69 @@ TEST(IrDeploy, ConfigurationListSurfacesManifestError) {
   const auto ok_ids = ir_image_configurations(build.image, &error);
   EXPECT_EQ(ok_ids.size(), 4u);
   EXPECT_TRUE(error.empty()) << error;
+}
+
+/// The minimd IR image with the first loop line of every IR file
+/// rewritten by `mutate` (applied to that one line).
+container::Image with_mutated_loops(
+    const container::Image& image,
+    const std::function<std::string(const std::string&)>& mutate) {
+  common::Vfs patch;
+  for (const auto& [path, contents] : image.flatten()) {
+    const auto at = contents.find("\n  loop ");
+    if (at == std::string::npos) continue;
+    const auto end = contents.find('\n', at + 1);
+    const std::string line = contents.substr(at + 1, end - at - 1);
+    patch.write(path, contents.substr(0, at + 1) + mutate(line) +
+                          contents.substr(end));
+  }
+  EXPECT_FALSE(patch.glob("*").empty());
+  return container::ImageBuilder(image).add_layer(std::move(patch)).build();
+}
+
+// Loop metadata is untrusted input: a LoopInfo that names a block its
+// function lacks used to send the vectorizer past the end of fn.blocks
+// (a heap overflow under ASan). Now the deploy fails with a structured
+// error before lowering, for each block-index field.
+TEST(IrDeploy, LoopMetadataNamingMissingBlockFailsDeploy) {
+  apps::MinimdOptions app_options;
+  app_options.module_count = 4;
+  const Application app = apps::make_minimd(app_options);
+  IrBuildOptions build_options;
+  build_options.points = {{"MD_SIMD", {"AVX_512"}}};
+  const auto build = build_ir_container(app, isa::Arch::X86_64, build_options);
+  ASSERT_TRUE(build.ok) << build.error;
+  IrDeployOptions options;
+  options.selections = {{"MD_SIMD", "AVX_512"}};
+  const DeployedApp healthy =
+      deploy_ir_container(build.image, vm::node("ault23"), options);
+  ASSERT_TRUE(healthy.ok) << healthy.error;
+
+  const auto set_field = [](const char* field, const char* value) {
+    return [field, value](const std::string& line) {
+      return std::regex_replace(
+          line, std::regex(std::string(" ") + field + "=-?[0-9]+"),
+          std::string(" ") + field + "=" + value);
+    };
+  };
+  const std::vector<std::pair<std::string,
+                              std::function<std::string(const std::string&)>>>
+      mutants = {
+          {"body block 9999", set_field("body", "9999")},
+          {"header block -7", set_field("hdr", "-7")},
+          {"preheader block 4096", set_field("pre", "4096")},
+          {"member block 9999",
+           [](const std::string& line) { return line + ",9999"; }},
+      };
+  for (const auto& [expected, mutate] : mutants) {
+    const DeployedApp deployed = deploy_ir_container(
+        with_mutated_loops(build.image, mutate), vm::node("ault23"), options);
+    EXPECT_FALSE(deployed.ok) << expected;
+    EXPECT_NE(deployed.error.find("IR verify failed"), std::string::npos)
+        << deployed.error;
+    EXPECT_NE(deployed.error.find(expected), std::string::npos)
+        << deployed.error;
+  }
 }
 
 TEST(IrDeploy, DeployedImageIsNativeArchitecture) {
